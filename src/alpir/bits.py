@@ -64,8 +64,12 @@ class BitString:
         """Bits [start, start + n), counted from the MSB end."""
         if start < 0 or n < 0 or start + n > self.nbits:
             raise ValueError("slice out of range")
+        # A slice that reaches the LSB end needs no shift, and one that
+        # starts at the MSB end needs no mask: both cost a full copy of a
+        # big int.
         shift = self.nbits - start - n
-        return BitString((self.value >> shift) & ((1 << n) - 1), n)
+        value = self.value >> shift if shift else self.value
+        return BitString(value & ((1 << n) - 1) if start else value, n)
 
     @classmethod
     def join(cls, parts: Iterable["BitString"]) -> "BitString":

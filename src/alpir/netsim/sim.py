@@ -83,12 +83,12 @@ def serve_connection(db_index: int, store: MessageStore,
                 except wire.WireError as exc:
                     conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                     continue
-                if len(indices) != len(store.messages) or any(
-                        v > layout.subpackets_per_part for v in indices):
+                try:
+                    ans = answer(store, layout, QueryVector(indices))
+                except ValueError:
                     conn.send(wire.encode_error(
                         wire.ERR_BAD_QUERY, "query vector out of range"))
                     continue
-                ans = answer(store, layout, QueryVector(indices))
                 conn.send(wire.encode_answer(session_id, ans))
             else:
                 conn.send(wire.encode_error(

@@ -32,7 +32,6 @@ MSG_HELLO = 0x01
 MSG_QUERY = 0x02
 MSG_ANSWER = 0x03
 MSG_ERROR = 0x04
-KNOWN_TYPES = (MSG_HELLO, MSG_QUERY, MSG_ANSWER, MSG_ERROR)
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 24
@@ -112,9 +111,11 @@ def encode_query(session_id: int, indices: tuple[int, ...]) -> bytes:
         raise ValueError("session_id out of range")
     if not indices or len(indices) > 0xFF:
         raise ValueError("query vector length out of range")
-    if any(not 0 <= v <= 0xFF for v in indices):
-        raise ValueError("query index out of range")
-    payload = struct.pack(">QB", session_id, len(indices)) + bytes(indices)
+    try:
+        body = bytes(indices)
+    except ValueError:
+        raise ValueError("query index out of range") from None
+    payload = struct.pack(">QB", session_id, len(indices)) + body
     return encode_frame(MSG_QUERY, payload)
 
 

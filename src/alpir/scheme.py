@@ -24,7 +24,7 @@ subpackets (empty when every v_k is 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -194,6 +194,9 @@ class MessageStore:
 
     messages: tuple[BitString, ...]
     key: BitString
+    # layout -> subpacket table, filled on first use by subpacket_table.
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def random(cls, params: SystemParams, layout: PartitionLayout,
@@ -201,6 +204,27 @@ class MessageStore:
         msgs = tuple(BitString.random(params.message_bits, rng)
                      for _ in range(params.n_messages))
         return cls(msgs, BitString.random(layout.key_bits, rng))
+
+    def subpacket_table(self, layout: PartitionLayout) -> tuple:
+        """Per message, the (masked, open) subpacket ints for v = 1..N-1.
+
+        Row k, entry v-1 holds the values of layout.subpacket(message k,
+        1, v) and layout.subpacket(message k, 2, v). The table is built
+        on first use and lives as long as the store; it holds one more
+        copy of the messages. Servers share a store across threads, and
+        a race only builds the same table twice.
+        """
+        table = self._tables.get(layout)
+        if table is None:
+            if self.key.nbits != layout.masked_subpacket_bits:
+                raise ValueError("key width does not match layout")
+            table = tuple(
+                tuple((layout.subpacket(m, 1, v).value,
+                       layout.subpacket(m, 2, v).value)
+                      for v in range(1, layout.subpackets_per_part + 1))
+                for m in self.messages)
+            table = self._tables.setdefault(layout, table)
+        return table
 
 
 def make_queries(choice: PathChoice, params: SystemParams) -> tuple[QueryVector, ...]:
@@ -230,17 +254,20 @@ def answer(store: MessageStore, layout: PartitionLayout,
     all-zero query; the open part is empty exactly when every index is 0
     (for layouts with a nonzero open width).
     """
-    if len(query.indices) != len(store.messages):
+    indices = query.indices
+    if len(indices) != len(store.messages):
         raise ValueError("query length does not match message count")
-    masked = store.key
-    open_part = BitString.zeros(0)
-    for k, v in enumerate(query.indices):
-        if not 0 <= v <= layout.subpackets_per_part:
-            raise ValueError("query index out of range")
+    top = max(indices, default=0)
+    if min(indices, default=0) < 0 or top > layout.subpackets_per_part:
+        raise ValueError("query index out of range")
+    masked, open_ = store.key.value, 0
+    for row, v in zip(store.subpacket_table(layout), indices):
         if v:
-            masked = masked ^ layout.subpacket(store.messages[k], 1, v)
-            open_part = open_part ^ layout.subpacket(store.messages[k], 2, v)
-    return Answer(masked, open_part)
+            m, o = row[v - 1]
+            masked ^= m
+            open_ ^= o
+    return Answer(BitString(masked, store.key.nbits),
+                  BitString(open_, layout.open_subpacket_bits if top else 0))
 
 
 def _desired_zero_index(queries: Sequence[QueryVector], desired: int) -> dict:
@@ -302,14 +329,14 @@ def residual_view(answers: Sequence[Answer], queries: Sequence[QueryVector],
     """
     if len(answers) != len(queries):
         raise ValueError("answers and queries must align")
-    k = len(queries[0].indices)
-    varying = [j for j in range(k)
-               if len({qv.indices[j] for qv in queries}) > 1]
+    n = len(queries)
+    varying = [j for j, col in enumerate(zip(*(qv.indices for qv in queries)))
+               if col.count(col[0]) != n]
     if len(varying) != 1:
         raise ValueError("queries must vary in exactly one coordinate")
     desired = varying[0]
     base = queries[0].indices
-    coeffs = tuple((j, base[j]) for j in range(k) if j != desired and base[j])
+    coeffs = tuple((j, v) for j, v in enumerate(base) if v and j != desired)
     if not coeffs:
         for d, qv in enumerate(queries):
             v = qv.indices[desired]

@@ -91,6 +91,16 @@ class TestBitString:
         left, right = b.slice(0, cut), b.slice(cut, b.nbits - cut)
         assert BitString.join([left, right]) == b
 
+    @given(bitstrings)
+    @settings(max_examples=60, deadline=None)
+    def test_slice_matches_string_slicing(self, b):
+        text = b.to01()
+        for start in range(b.nbits + 1):
+            for n in range(b.nbits - start + 1):
+                part = b.slice(start, n)
+                assert part.nbits == n
+                assert part.to01() == text[start:start + n]
+
     def test_to01(self):
         assert BitString(0b101, 3).to01() == "101"
         assert BitString(1, 4).to01() == "0001"

@@ -5,6 +5,7 @@ is constructed from one database's connection plus the replicated store,
 and the transports below prove no bytes flow between servers.
 """
 
+import hashlib
 import inspect
 import io
 import math
@@ -202,6 +203,29 @@ class TestRunTrials:
             run_trials(0, WORKED, seed=0)
         with pytest.raises(ValueError):
             run_trials(10, WORKED, seed=0, transport="carrier-pigeon")
+
+
+class TestDeterminismGolden:
+    """Records and query counts of fixed-seed runs, pinned as sha256 of the
+    CSV export and of repr(sorted(structure_counts.items())). A change to
+    the session path must leave both byte-identical."""
+
+    @pytest.mark.parametrize("params, trials, records_sha, counts_sha", [
+        (WORKED, 2000,
+         "d4a95db57ec74d359ec4c41fefd24e043c974085012dbf539a63b7d95f634354",
+         "957a30c84f7a56dc877651bed50e3bdfdf5d3c8c55a4afc6e7164186742dc317"),
+        (SystemParams(2, 255, 40, 0.5, 0.5), 200,
+         "2340f2eabb9cc5083292ee6ae2e25cf31deb17df8dc6baba06651f6299dd17b5",
+         "40cb33c20ffb77ace1b7e600870987bf6f2814899179ef8f10bdd5bb3b8e6c32"),
+    ], ids=["worked", "wide-k"])
+    def test_pinned_digests(self, params, trials, records_sha, counts_sha):
+        stats = run_trials(trials, params, seed=7, transport="memory")
+        buf = io.StringIO()
+        records_to_csv(stats.records, buf)
+        counts = repr(sorted(stats.structure_counts.items()))
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+            records_sha
+        assert hashlib.sha256(counts.encode()).hexdigest() == counts_sha
 
 
 class TestCsvExport:

@@ -17,7 +17,7 @@ from alpir import (BitString, MessageStore, PathClass, SystemParams, answer,
                    layout_for_key_bits, make_queries, path_distribution,
                    plan_partition, residual_view, sample_path,
                    session_download_bits, structure_probability)
-from alpir.scheme import PathChoice, QueryVector
+from alpir.scheme import Answer, PathChoice, QueryVector
 
 EXACT = 1e-12
 
@@ -231,6 +231,60 @@ class TestAnswer:
             answer(STORE, WORKED_LAYOUT, QueryVector((1,)))
         with pytest.raises(ValueError):
             answer(STORE, WORKED_LAYOUT, QueryVector((2, 0)))
+
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(1, 4),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_subpacket_fold(self, n, k, per_sub, data):
+        """answer equals the XOR fold of layout.subpacket slices for every
+        key size, including zero open width and zero key width."""
+        p = SystemParams(n, k, (n - 1) * per_sub, 0.5, 0.5)
+        seed = data.draw(st.integers(0, 2 ** 16))
+        index = st.integers(0, n - 1)
+        queries = [(0,) * k, (n - 1,) * k,
+                   tuple(data.draw(st.integers(1, n - 1)) for _ in range(k)),
+                   tuple(data.draw(index) for _ in range(k))]
+        for s in range(per_sub + 1):
+            lay = layout_for_key_bits(p, s)
+            store = MessageStore.random(p, lay, random.Random(seed))
+            for indices in queries + queries:  # second pass reuses the table
+                got = answer(store, lay, QueryVector(indices))
+                assert got == _reference_answer(store, lay, indices)
+            for bad in ((n,) + (0,) * (k - 1), (0,) * (k - 1) + (-1,),
+                        (0,) * (k - 1), (0,) * (k + 1)):
+                with pytest.raises(ValueError):
+                    answer(store, lay, QueryVector(bad))
+
+    def test_table_is_per_layout(self):
+        """One store answered under two layouts of the same message and
+        key width gets each layout's own subpackets."""
+        msgs = (BitString(0b1011, 4), BitString(0b0110, 4))
+        store = MessageStore(msgs, BitString(1, 1))
+        for p in (SystemParams(2, 2, 4, 0.5, 0.5),
+                  SystemParams(3, 2, 4, 0.5, 0.5)):
+            lay = layout_for_key_bits(p, 1)
+            for indices in product(range(p.n_databases), repeat=2):
+                assert answer(store, lay, QueryVector(indices)) == \
+                    _reference_answer(store, lay, indices)
+
+    def test_store_must_match_layout(self):
+        with pytest.raises(ValueError):
+            answer(MessageStore((W0, BitString(0, 5)), KEY), WORKED_LAYOUT,
+                   QueryVector((0, 1)))
+        with pytest.raises(ValueError):
+            answer(MessageStore((W0, W1), BitString(0, 2)), WORKED_LAYOUT,
+                   QueryVector((1, 0)))
+
+
+def _reference_answer(store, layout, indices):
+    """The answer as a fold of layout.subpacket slices, one BitString XOR
+    per selected subpacket."""
+    masked, open_part = store.key, BitString.zeros(0)
+    for k, v in enumerate(indices):
+        if v:
+            masked = masked ^ layout.subpacket(store.messages[k], 1, v)
+            open_part = open_part ^ layout.subpacket(store.messages[k], 2, v)
+    return Answer(masked, open_part)
 
 
 class TestDecode:

@@ -94,6 +94,14 @@ class TestCodecs:
         assert sid == session_id
         assert idx == tuple(indices)
 
+    def test_query_encode_validation(self):
+        for bad in ((256,), (0, -1)):
+            with pytest.raises(ValueError, match="query index out of range"):
+                encode_query(1, bad)
+        for bad in ((), (0,) * 256):
+            with pytest.raises(ValueError, match="length out of range"):
+                encode_query(1, bad)
+
     def test_query_malformed(self):
         with pytest.raises(WireError):
             decode_query(b"\x00" * 8)  # missing count byte
