@@ -32,7 +32,7 @@ ENV_PREFIX = "ALPIR_"
 BOUNDS_FIELDS = ["n", "k", "eps", "delta", "d_upper", "d_lower", "alpha1",
                  "alpha2", "delta1", "delta2", "gap_ratio", "gap_cap",
                  "regime", "reference_cost"]
-SESSION_FIELDS = ["session_id", "desired", "class", "bits", "leaked_bits"]
+
 
 def _bool_cast(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")

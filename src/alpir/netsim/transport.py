@@ -3,20 +3,31 @@
 Both expose the same minimal blocking interface (send / recv / close), so
 the protocol layer cannot tell them apart; runs over either must produce
 identical session records.
+
+Client ends (the first end of `memory_pair`, and `tcp_connect`) give up a
+read after READ_DEADLINE_S seconds without data and raise TimeoutError, so
+a stalled server cannot hang the client. Server ends block without limit:
+an idle server is normal.
 """
 
 from __future__ import annotations
 
 import socket
-from queue import SimpleQueue
+import struct
+from queue import Empty, SimpleQueue
+from typing import Optional
+
+READ_DEADLINE_S = 30.0
 
 
 class ChannelConnection:
     """One end of an in-memory duplex byte stream."""
 
-    def __init__(self, inbox: SimpleQueue, outbox: SimpleQueue):
+    def __init__(self, inbox: SimpleQueue, outbox: SimpleQueue,
+                 timeout: Optional[float] = None):
         self._inbox = inbox
         self._outbox = outbox
+        self._timeout = timeout
         self._buffer = b""
         self._eof = False
         self._closed = False
@@ -30,7 +41,10 @@ class ChannelConnection:
         if max_n <= 0:
             raise ValueError("max_n must be positive")
         while not self._buffer and not self._eof:
-            chunk = self._inbox.get()
+            try:
+                chunk = self._inbox.get(timeout=self._timeout)
+            except Empty:
+                raise TimeoutError("read deadline passed") from None
             if chunk is None:
                 self._eof = True
             else:
@@ -47,9 +61,10 @@ class ChannelConnection:
 
 
 def memory_pair() -> tuple[ChannelConnection, ChannelConnection]:
+    """(client end, server end); only the client end has a read deadline."""
     a_to_b: SimpleQueue = SimpleQueue()
     b_to_a: SimpleQueue = SimpleQueue()
-    return (ChannelConnection(b_to_a, a_to_b),
+    return (ChannelConnection(b_to_a, a_to_b, READ_DEADLINE_S),
             ChannelConnection(a_to_b, b_to_a))
 
 
@@ -63,7 +78,10 @@ class SocketConnection:
         self._sock.sendall(data)
 
     def recv(self, max_n: int) -> bytes:
-        return self._sock.recv(max_n)
+        try:
+            return self._sock.recv(max_n)
+        except BlockingIOError:  # SO_RCVTIMEO expired on a blocking socket
+            raise TimeoutError("read deadline passed") from None
 
     def close(self) -> None:
         try:
@@ -96,6 +114,12 @@ class TcpListener:
 
 
 def tcp_connect(port: int) -> SocketConnection:
+    """Client end. The deadline is a kernel receive timeout (SO_RCVTIMEO),
+    so sends and reads that find data cost no extra poll."""
     sock = socket.create_connection(("127.0.0.1", port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sec = int(READ_DEADLINE_S)
+    usec = int((READ_DEADLINE_S - sec) * 1e6)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                    struct.pack("ll", sec, usec))
     return SocketConnection(sock)

@@ -119,6 +119,11 @@ def encode_query(session_id: int, indices: tuple[int, ...]) -> bytes:
     return encode_frame(MSG_QUERY, payload)
 
 
+def query_frame_bytes(k: int) -> int:
+    """Length of an encoded Query frame for a K-index vector."""
+    return 5 + 9 + k
+
+
 def decode_query(payload: bytes) -> tuple[int, tuple[int, ...]]:
     if len(payload) < 9:
         raise WireError("query payload too short")
@@ -153,6 +158,11 @@ def encode_answer(session_id: int, ans: Answer) -> bytes:
     payload = (struct.pack(">Q", session_id)
                + _encode_bits(ans.masked) + _encode_bits(ans.open))
     return encode_frame(MSG_ANSWER, payload)
+
+
+def answer_frame_bytes(masked_bits: int, open_bits: int) -> int:
+    """Length of an encoded Answer frame with parts of these bit widths."""
+    return 5 + 8 + 4 + (masked_bits + 7) // 8 + 4 + (open_bits + 7) // 8
 
 
 def decode_answer(payload: bytes) -> tuple[int, Answer]:

@@ -10,16 +10,21 @@ import inspect
 import io
 import math
 import random
+import time
 
 import pytest
 
-from alpir import (BitString, MessageStore, PathClass, SystemParams,
-                   derived_rng, plan_partition)
+from alpir import (BitString, MessageStore, PathClass, QueryVector,
+                   SystemParams, answer, derived_rng, make_queries,
+                   path_distribution, plan_partition, sample_path)
 from alpir.netsim import (CSV_HEADER, ERR_BAD_QUERY, MSG_ANSWER, MSG_ERROR,
-                          MSG_HELLO, decode_answer, decode_error, deployment,
+                          MSG_HELLO, SessionError, TcpListener,
+                          decode_answer, decode_error, decode_query,
+                          deployment, encode_answer, encode_error,
                           encode_frame, encode_hello, encode_query,
                           memory_pair, provision, read_frame, records_to_csv,
-                          retrieve, run_trials, serve_connection, wire)
+                          retrieve, run_trials, serve_connection, sim,
+                          tcp_connect, transport, wire)
 
 WORKED = SystemParams(2, 2, 3, math.log(1.5), 4 / 15)
 WORKED_LAYOUT = plan_partition(WORKED)
@@ -286,3 +291,154 @@ class TestNonCollusion:
             answers.append(decode_answer(read_frame(conn).payload)[1])
             conn.close()
         assert answers[0] == answers[1]
+
+
+WIDE_K = SystemParams(2, 255, 40, 0.5, 0.5)
+
+
+def lockstep_reference(trials, params, seed, transport_name):
+    """Records from a loop of lock-step retrieve calls, and query counts
+    rebuilt from the same per-session RNG streams."""
+    layout = plan_partition(params)
+    store = provision(params, layout, derived_rng(seed, "store"))
+    dist = path_distribution(params)
+    records, counts = [], {}
+    with deployment(params, layout, store, transport_name) as conns:
+        for i in range(trials):
+            k = i % params.n_messages
+            _, record = retrieve(params, layout, k, conns,
+                                 derived_rng(seed, "session", i),
+                                 session_id=i, expected=store.messages[k])
+            records.append(record)
+            choice = sample_path(dist, k, derived_rng(seed, "session", i))
+            for db, qv in enumerate(make_queries(choice, params)):
+                cell = (k, db, qv.indices)
+                counts[cell] = counts.get(cell, 0) + 1
+    return records, counts
+
+
+class TestPipelining:
+    def test_window_sizes(self):
+        large = SystemParams(2, 4, 1 << 22, 0.5, 0.1)
+        assert [sim.pipeline_window(p, plan_partition(p))
+                for p in (WORKED, WIDE_K, large)] == [420, 55, 1]
+
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    @pytest.mark.parametrize("params, trials", [
+        (WORKED, 1), (WORKED, 419), (WORKED, 420), (WORKED, 421),
+        (WIDE_K, 56),
+    ], ids=["1", "window-1", "window", "window+1", "wide-k-window+1"])
+    def test_equals_lockstep_retrieve(self, params, trials, transport_name):
+        stats = run_trials(trials, params, seed=13, transport=transport_name)
+        records, counts = lockstep_reference(trials, params, 13,
+                                             transport_name)
+        assert stats.records == records
+        assert stats.structure_counts == counts
+
+    def test_window_of_one_changes_nothing(self, monkeypatch):
+        piped = run_trials(300, WORKED, seed=21)
+        monkeypatch.setattr(sim, "IN_FLIGHT_BYTES", 1)
+        assert sim.pipeline_window(WORKED, WORKED_LAYOUT) == 1
+        assert run_trials(300, WORKED, seed=21) == piped
+
+    def test_large_answers_over_tcp_complete(self):
+        """Answers far above the socket buffers must not deadlock."""
+        p = SystemParams(2, 4, 1 << 20, 0.5, 0.1)
+        stats = run_trials(30, p, seed=3, transport="tcp")
+        assert len(stats.records) == 30
+        assert stats.decode_failures == 0
+
+
+def faulty_server(fault, after):
+    """A serve_connection stand-in: database 0 answers `after` queries
+    correctly, then misbehaves on every later one; the others are real."""
+
+    def serve(db_index, store, layout, conn):
+        if db_index:
+            return serve_connection(db_index, store, layout, conn)
+        served = 0
+        try:
+            while True:
+                frame = read_frame(conn)
+                if frame is None:
+                    return
+                if frame.msg_type == MSG_HELLO:
+                    if fault != "silent-hello":
+                        conn.send(encode_hello())
+                    continue
+                sid, indices = decode_query(frame.payload)
+                if served >= after:
+                    if fault in ("silent", "silent-hello"):
+                        continue
+                    if fault == "close":
+                        return
+                    if fault == "error":
+                        conn.send(encode_error(ERR_BAD_QUERY, "refused"))
+                        continue
+                    sid += 1                           # "wrong-id"
+                served += 1
+                conn.send(encode_answer(
+                    sid, answer(store, layout, QueryVector(indices))))
+        except OSError:
+            return                  # the client hung up first
+        finally:
+            conn.close()
+
+    return serve
+
+
+class TestSessionFaults:
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    @pytest.mark.parametrize("fault", ["error", "close", "wrong-id"])
+    @pytest.mark.parametrize("after", [0, 7])
+    def test_fault_raises_session_error(self, monkeypatch, fault, after,
+                                        transport_name):
+        monkeypatch.setattr(sim, "serve_connection",
+                            faulty_server(fault, after))
+        with pytest.raises(SessionError):
+            run_trials(50, WORKED, seed=1, transport=transport_name)
+
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    @pytest.mark.parametrize("fault", ["silent", "silent-hello"])
+    def test_stalled_server_hits_read_deadline(self, monkeypatch, fault,
+                                               transport_name):
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.2)
+        monkeypatch.setattr(sim, "serve_connection", faulty_server(fault, 3))
+        t = time.perf_counter()
+        with pytest.raises(SessionError):
+            run_trials(50, WORKED, seed=1, transport=transport_name)
+        assert time.perf_counter() - t < 1.0
+
+    def test_stalled_server_fails_retrieve(self, monkeypatch):
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.2)
+        monkeypatch.setattr(sim, "serve_connection",
+                            faulty_server("silent", 0))
+        store = provision(WORKED, WORKED_LAYOUT, derived_rng(1, "store"))
+        with deployment(WORKED, WORKED_LAYOUT, store) as conns:
+            with pytest.raises(SessionError, match="deadline"):
+                retrieve(WORKED, WORKED_LAYOUT, 0, conns, random.Random(0))
+
+
+class TestReadDeadline:
+    def test_memory_client_end_times_out(self, monkeypatch):
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.05)
+        client, server = memory_pair()
+        with pytest.raises(TimeoutError):
+            client.recv(4)
+        server.send(b"late")
+        assert client.recv(4) == b"late"
+
+    def test_tcp_client_end_times_out(self, monkeypatch):
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.05)
+        listener = TcpListener()
+        client = tcp_connect(listener.port)
+        server = listener.accept()
+        listener.close()
+        try:
+            with pytest.raises(TimeoutError):
+                client.recv(4)
+            server.send(b"late")
+            assert client.recv(4) == b"late"
+        finally:
+            client.close()
+            server.close()

@@ -13,6 +13,7 @@ from alpir.netsim import (MAX_FRAME_BYTES, MSG_ANSWER, MSG_ERROR, MSG_HELLO,
                           decode_query, encode_answer, encode_error,
                           encode_frame, encode_hello, encode_query,
                           memory_pair, parse_frame, read_frame)
+from alpir.netsim.wire import answer_frame_bytes, query_frame_bytes
 
 
 class TestFraming:
@@ -88,9 +89,9 @@ class TestCodecs:
            st.lists(st.integers(0, 255), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_query_round_trip(self, session_id, indices):
-        payload = parse_frame(
-            encode_query(session_id, tuple(indices))).payload
-        sid, idx = decode_query(payload)
+        raw = encode_query(session_id, tuple(indices))
+        assert len(raw) == query_frame_bytes(len(indices))
+        sid, idx = decode_query(parse_frame(raw).payload)
         assert sid == session_id
         assert idx == tuple(indices)
 
@@ -123,8 +124,9 @@ class TestCodecs:
                       nb1),
             BitString(data.draw(st.integers(0, 2 ** nb2 - 1)) if nb2 else 0,
                       nb2))
-        payload = parse_frame(encode_answer(session_id, ans)).payload
-        sid, back = decode_answer(payload)
+        raw = encode_answer(session_id, ans)
+        assert len(raw) == answer_frame_bytes(nb1, nb2)
+        sid, back = decode_answer(parse_frame(raw).payload)
         assert sid == session_id
         assert back == ans
 
