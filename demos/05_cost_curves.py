@@ -15,19 +15,19 @@ N, K, L = 2, 2, 4
 EPS_GRID = [0.25 * j for j in range(41)]  # 0 .. 10
 DELTAS = (0.0, 0.1, 0.2, 0.4)
 
-out_dir = tempfile.mkdtemp(prefix="cost_curves_")
-paths = []
-for delta in DELTAS:
-    path = os.path.join(out_dir, f"delta_{delta:g}.csv")
-    with open(path, "w") as fh:
-        fh.write("eps,d_upper,d_lower,delta1,regime\n")
-        for eps in EPS_GRID:
-            rep = bounds_report(SystemParams(N, K, L, eps, delta))
-            fh.write(f"{eps!r},{rep.d_upper!r},{rep.d_lower!r},"
-                     f"{rep.delta1!r},{rep.regime.value}\n")
-    paths.append(path)
-
-print(f"wrote {len(paths)} curve files to {out_dir}")
+# The files live only as long as the demo runs.
+with tempfile.TemporaryDirectory(prefix="cost_curves_") as out_dir:
+    paths = []
+    for delta in DELTAS:
+        path = os.path.join(out_dir, f"delta_{delta:g}.csv")
+        with open(path, "w") as fh:
+            fh.write("eps,d_upper,d_lower,delta1,regime\n")
+            for eps in EPS_GRID:
+                rep = bounds_report(SystemParams(N, K, L, eps, delta))
+                fh.write(f"{eps!r},{rep.d_upper!r},{rep.d_lower!r},"
+                         f"{rep.delta1!r},{rep.regime.value}\n")
+        paths.append(path)
+    print(f"wrote {len(paths)} curve files to {out_dir}")
 print()
 
 # A quick look at the shape of each curve without leaving the terminal.

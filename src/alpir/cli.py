@@ -18,14 +18,14 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable
 
 from . import bounds as bnd
 from . import leakage as lk
 from . import netsim
 from .params import SystemParams
-from .scheme import (PathClass, expected_cost, path_distribution,
-                     plan_partition, session_download_bits)
+from .scheme import path_distribution, plan_partition
+from .selfcheck import default_message_bits, run_all
 
 ENV_PREFIX = "ALPIR_"
 
@@ -190,17 +190,18 @@ def _single_int(cfg: dict, key: str) -> int:
     return values[0]
 
 
+def _given(cfg: dict, key: str, default):
+    """cfg[key], or default when it was left unset."""
+    return cfg[key] if cfg[key] is not None else default
+
+
 def _grid_values(cfg: dict, name: str) -> list[float]:
     grid, point = cfg[f"{name}_grid"], cfg[name]
     if grid is not None and point is not None:
         raise ValueError(f"--{name} and --{name}-grid are mutually exclusive")
     if grid is not None:
         return parse_grid(grid)
-    return [point if point is not None else 0.0]
-
-
-def _default_l(n: int) -> int:
-    return 4 * (n - 1) if n > 1 else 4
+    return [_given(cfg, name, 0.0)]
 
 
 def _bounds_rows(cfg: dict, n_values: list[int], k_values: list[int]):
@@ -208,7 +209,7 @@ def _bounds_rows(cfg: dict, n_values: list[int], k_values: list[int]):
     delta_values = _grid_values(cfg, "delta")
     for n in n_values:
         for k in k_values:
-            l = cfg["l"] if cfg["l"] is not None else _default_l(n)
+            l = _given(cfg, "l", default_message_bits(n))
             for eps in eps_values:
                 for delta in delta_values:
                     params = SystemParams(n, k, l, eps, delta)
@@ -257,118 +258,81 @@ def cmd_sweep(cfg: dict) -> int:
     return _emit(cfg, BOUNDS_FIELDS, _bounds_rows(cfg, n_values, k_values))
 
 
+def _point(cfg: dict, n: int, k: int) -> SystemParams:
+    """The one parameter point of simulate and verify."""
+    return SystemParams(n, k, _given(cfg, "l", default_message_bits(n)),
+                        _given(cfg, "eps", 0.0), _given(cfg, "delta", 0.0))
+
+
 def cmd_simulate(cfg: dict) -> int:
-    n = _single_int(cfg, "n")
-    k = _single_int(cfg, "k")
-    l = cfg["l"] if cfg["l"] is not None else _default_l(n)
-    eps = cfg["eps"] if cfg["eps"] is not None else 0.0
-    delta = cfg["delta"] if cfg["delta"] is not None else 0.0
+    n, k = _single_int(cfg, "n"), _single_int(cfg, "k")
+    params = _point(cfg, n, k)
     trials, seed = cfg["trials"], cfg["seed"]
-    params = SystemParams(n, k, l, eps, delta)
     layout = plan_partition(params)
     stats = netsim.run_trials(trials, params, seed,
                               transport=cfg["transport"],
                               relabel=not cfg["no_db_relabel"])
-
-    expect = expected_cost(params, layout)
-    dist_sigma = _cost_sigma(params, layout, trials)
-    cost_ok = abs(stats.mean_cost - expect) <= 3.0 * dist_sigma \
-        if dist_sigma else stats.mean_cost == expect
-
-    audit = lk.ratio_audit_from_counts(
+    cost = lk.cost_audit_from_mean(params, layout, stats.mean_cost, trials)
+    ratio = lk.ratio_audit_from_counts(
         stats.structure_counts, stats.trials_per_message,
         lk.analytic_user_ratio(path_distribution(params)))
-    ratio_ok = not audit.violation
-
-    leak_analytic = lk.analytic_db_leakage(params, layout)
-    budget = lk.db_leak_budget_bits(params)
-    try:
-        oracle = lk.exact_mi_oracle(params, layout).max_bits
-    except lk.StateSpaceError:
-        oracle = None
-    leak_ok = leak_analytic <= budget + 1e-9
-    if oracle is not None:
-        leak_ok = leak_ok and abs(oracle - leak_analytic) <= 1e-9 \
-            and oracle <= budget + 1e-9
+    leak = lk.db_leak_audit(params, layout)
+    cost_ok, ratio_ok = not cost.violation, not ratio.violation
     decode_ok = stats.decode_failures == 0
 
-    print(f"simulate n={n} k={k} l={l} eps={eps:g} delta={delta:g} "
-          f"trials={trials} seed={seed} transport={cfg['transport']}")
+    print(f"simulate n={n} k={k} l={params.message_bits} eps={params.eps:g} "
+          f"delta={params.delta:g} trials={trials} seed={seed} "
+          f"transport={cfg['transport']}")
     print(f"layout: key_bits={layout.key_bits} "
           f"masked={layout.masked_subpacket_bits} "
           f"open={layout.open_subpacket_bits} "
           f"effective_alpha={layout.effective_alpha:.9g} "
           f"effective_delta={layout.effective_delta:.9g}")
-    print(f"cost: empirical={stats.mean_cost:.9g} expected={expect:.9g} "
-          f"sigma={dist_sigma:.3g} {'ok' if cost_ok else 'VIOLATION'}")
-    print(f"user ratio: empirical={audit.max_ratio:.9g} "
-          f"analytic={audit.budget:.9g} halfwidth={audit.halfwidth:.3g} "
+    print(f"cost: empirical={cost.mean_cost:.9g} expected={cost.expected:.9g} "
+          f"sigma={cost.sigma:.3g} {'ok' if cost_ok else 'VIOLATION'}")
+    print(f"user ratio: empirical={ratio.max_ratio:.9g} "
+          f"analytic={ratio.budget:.9g} halfwidth={ratio.halfwidth:.3g} "
           f"{'ok' if ratio_ok else 'VIOLATION'}")
-    oracle_text = "skipped" if oracle is None else f"{oracle:.9g}"
-    print(f"db leakage: analytic={leak_analytic:.9g} budget={budget:.9g} "
-          f"oracle={oracle_text} {'ok' if leak_ok else 'VIOLATION'}")
+    oracle_text = ("skipped" if leak.exact_bits is None
+                   else f"{leak.exact_bits:.9g}")
+    print(f"db leakage: analytic={leak.analytic_bits:.9g} "
+          f"budget={leak.budget_bits:.9g} oracle={oracle_text} "
+          f"{'ok' if leak.ok else 'VIOLATION'}")
     print(f"sessions: low_frequency={stats.low_frequency:.9g} "
           f"decode_failures={stats.decode_failures} "
           f"mean_leaked_bits={stats.mean_leaked_bits:.9g} "
           f"mean_upload_bits={stats.mean_upload_bits:.9g}")
-    ok = cost_ok and ratio_ok and leak_ok and decode_ok
+    ok = cost_ok and ratio_ok and leak.ok and decode_ok
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
 
     if cfg["out"]:
-        if cfg["format"] == "csv":
-            with open(cfg["out"], "w") as fh:
-                netsim.records_to_csv(stats.records, fh)
-        else:
-            with open(cfg["out"], "w") as fh:
-                for r in stats.records:
-                    fh.write(json.dumps({
-                        "session_id": r.session_id, "desired": r.desired,
-                        "class": r.path_class.value,
-                        "bits": r.bits_downloaded,
-                        "leaked_bits": r.leaked_bits}, sort_keys=True) + "\n")
+        fields = netsim.CSV_HEADER.split(",")
+        _emit(cfg, fields, (
+            dict(zip(fields, (r.session_id, r.desired, r.path_class.value,
+                              r.bits_downloaded, r.leaked_bits)))
+            for r in stats.records))
     return 0 if ok else 1
 
 
-def _cost_sigma(params, layout, trials: int) -> float:
-    dist = path_distribution(params)
-    l = params.message_bits
-    low = session_download_bits(layout, PathClass.LOW) / l
-    high = session_download_bits(layout, PathClass.HIGH) / l
-    pl = dist.low_total
-    return abs(high - low) * math.sqrt(pl * (1 - pl) / trials)
-
-
 def cmd_verify(cfg: dict) -> int:
-    point = None
     n = _single_int(cfg, "n")
     k = _single_int(cfg, "k")
     if n == 1:
-        delta = cfg["delta"] if cfg["delta"] is not None else 0.0
+        delta = _given(cfg, "delta", 0.0)
         outcome = bnd.single_server_cost(k, delta)
         print(f"PASS single-server: k={k} delta={delta:g} "
               f"feasible={outcome.feasible} cost={outcome.cost:g}")
         return 0
-    if cfg["eps"] is not None or cfg["delta"] is not None or (
-            cfg["l"] is not None):
-        l = cfg["l"] if cfg["l"] is not None else _default_l(n)
-        point = SystemParams(n, k, l,
-                             cfg["eps"] if cfg["eps"] is not None else 0.0,
-                             cfg["delta"] if cfg["delta"] is not None else 0.0)
-    results = verify_checks(point=point,
-                            key_bits_offset=cfg["inject_key_deficit"])
+    point = None
+    if any(cfg[key] is not None for key in ("l", "eps", "delta")):
+        point = _point(cfg, n, k)
+    results = run_all(point=point, key_bits_offset=cfg["inject_key_deficit"])
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
     print(f"verify: {len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
-
-
-def verify_checks(point: Optional[SystemParams] = None,
-                  key_bits_offset: int = 0) -> list[tuple[str, bool, str]]:
-    """The self-check suite; key_bits_offset != 0 deliberately misplans keys."""
-    from . import selfcheck
-    return selfcheck.run_all(point=point, key_bits_offset=key_bits_offset)
 
 
 _COMMANDS = {

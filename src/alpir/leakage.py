@@ -1,6 +1,10 @@
 """Privacy auditing: analytic formulas, an exact oracle, and sampled checks.
 
-Three independent routes measure the same two quantities.
+Each promise has one checker, and the samplers here and `alpir simulate`
+only feed it numbers: `cost_audit_from_mean` (mean download cost within
+3 sigma of the closed form), `ratio_audit_from_counts` (query law keeps
+p/q = e^eps) and `db_leak_audit` (leakage at most delta * L bits, and the
+exact oracle, when it fits, equal to the closed form).
 
 User-side privacy is the worst-case likelihood ratio a database can form
 between two candidate desired indices from its own (query, answer) view.
@@ -35,6 +39,7 @@ from .seeding import derived_rng
 
 DEFAULT_STATE_CAP = 1 << 24
 MIN_AUDIT_TRIALS = 1000
+LEAK_TOL_BITS = 1e-9
 
 
 class StateSpaceError(RuntimeError):
@@ -69,6 +74,15 @@ def analytic_db_leakage(params: SystemParams, layout: PartitionLayout) -> float:
 def db_leak_budget_bits(params: SystemParams) -> float:
     """The configured allowance delta * L, in bits."""
     return params.delta * params.message_bits
+
+
+def message_space(k: int, l: int):
+    """Every assignment of K messages of l bits, as K-tuples of BitStrings,
+    message j taken from bits j*l .. j*l + l - 1 of a counter."""
+    mask = (1 << l) - 1
+    for packed in range(1 << (k * l)):
+        yield tuple(BitString((packed >> (j * l)) & mask, l)
+                    for j in range(k))
 
 
 @dataclass(frozen=True)
@@ -117,9 +131,7 @@ def exact_mi_oracle(params: SystemParams, layout: PartitionLayout,
                     raise ValueError("support entries must list K messages")
                 yield tuple(BitString(m, l) for m in combo)
         else:
-            for packed in range(n_msgs):
-                yield tuple(BitString((packed >> (j * l)) & ((1 << l) - 1), l)
-                            for j in range(k))
+            yield from message_space(k, l)
 
     per_message = []
     for desired in range(k):
@@ -255,6 +267,22 @@ class CostAuditResult:
         }
 
 
+def cost_audit_from_mean(params: SystemParams, layout: PartitionLayout,
+                         mean_cost: float, trials: int) -> CostAuditResult:
+    """Mean per-session download bits / L over `trials` sessions against
+    the closed form; a violation is a miss by more than 3 sigma, or any
+    miss when the cost is deterministic (sigma = 0)."""
+    l = params.message_bits
+    low_cost = session_download_bits(layout, PathClass.LOW) / l
+    high_cost = session_download_bits(layout, PathClass.HIGH) / l
+    expect = expected_cost(params, layout)
+    pl = path_distribution(params).low_total
+    sigma = abs(high_cost - low_cost) * math.sqrt(pl * (1 - pl) / trials)
+    violation = bool(abs(mean_cost - expect) > 3.0 * sigma) if sigma else (
+        mean_cost != expect)
+    return CostAuditResult(trials, mean_cost, expect, sigma, violation)
+
+
 def empirical_cost_audit(trials: int, params: SystemParams,
                          seed: int) -> CostAuditResult:
     """Monte-Carlo mean of per-session download bits / L, with a 3-sigma flag."""
@@ -271,13 +299,34 @@ def empirical_cost_audit(trials: int, params: SystemParams,
     for t in range(trials):
         choice = sample_path(dist, t % k, rng)
         costs[t] = low_cost if choice.path_class is PathClass.LOW else high_cost
-    mean = float(costs.mean())
-    expect = expected_cost(params, layout)
-    pl = dist.low_total
-    sigma = abs(high_cost - low_cost) * math.sqrt(pl * (1 - pl) / trials)
-    violation = bool(abs(mean - expect) > 3.0 * sigma) if sigma else (
-        mean != expect)
-    return CostAuditResult(trials, mean, expect, sigma, violation)
+    return cost_audit_from_mean(params, layout, float(costs.mean()), trials)
+
+
+@dataclass(frozen=True)
+class DbLeakAudit:
+    """Leaked bits per session; exact_bits is None when the oracle's state
+    space is too large, and then only the closed form meets the budget."""
+
+    analytic_bits: float
+    budget_bits: float
+    exact_bits: Optional[float]
+    ok: bool
+
+
+def db_leak_audit(params: SystemParams,
+                  layout: PartitionLayout) -> DbLeakAudit:
+    """The closed-form leakage must stay within delta * L bits, and the
+    exact oracle, when it fits, must match it within LEAK_TOL_BITS."""
+    analytic = analytic_db_leakage(params, layout)
+    budget = db_leak_budget_bits(params)
+    try:
+        exact = exact_mi_oracle(params, layout).max_bits
+    except StateSpaceError:
+        exact = None
+    ok = analytic <= budget + LEAK_TOL_BITS and (exact is None or (
+        abs(exact - analytic) <= LEAK_TOL_BITS
+        and exact <= budget + LEAK_TOL_BITS))
+    return DbLeakAudit(analytic, budget, exact, ok)
 
 
 @dataclass(frozen=True)
@@ -304,22 +353,18 @@ class LeakageReport:
         }
 
 
-def leakage_report(params: SystemParams, trials: int, seed: int,
-                   state_cap: int = DEFAULT_STATE_CAP) -> LeakageReport:
+def leakage_report(params: SystemParams, trials: int,
+                   seed: int) -> LeakageReport:
     """Assemble the full report; the oracle is skipped when it cannot fit."""
-    layout = plan_partition(params)
     dist = path_distribution(params)
     audit = empirical_query_audit(trials, params, seed)
-    try:
-        exact = exact_mi_oracle(params, layout, state_cap=state_cap).max_bits
-    except StateSpaceError:
-        exact = None
+    leak = db_leak_audit(params, plan_partition(params))
     return LeakageReport(
         user_ratio_analytic=analytic_user_ratio(dist),
         user_ratio_empirical=audit.max_ratio,
         user_ratio_halfwidth=audit.halfwidth,
-        db_leak_analytic_bits=analytic_db_leakage(params, layout),
-        db_leak_exact_bits=exact,
-        db_leak_budget_bits=db_leak_budget_bits(params),
+        db_leak_analytic_bits=leak.analytic_bits,
+        db_leak_exact_bits=leak.exact_bits,
+        db_leak_budget_bits=leak.budget_bits,
         trials=trials,
     )

@@ -8,6 +8,7 @@ the key size so the leakage-budget check can be demonstrated to fail.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from typing import Optional
@@ -15,7 +16,8 @@ from typing import Optional
 from . import bounds as bnd
 from .bits import BitString
 from .leakage import (StateSpaceError, analytic_db_leakage,
-                      db_leak_budget_bits, exact_mi_oracle)
+                      db_leak_audit, db_leak_budget_bits, exact_mi_oracle,
+                      message_space)
 from .params import SystemParams
 from .scheme import (MessageStore, PathChoice, answer, classify_base,
                      decode, layout_for_key_bits, make_queries,
@@ -45,16 +47,18 @@ ORACLE_INSTANCES = (
 )
 
 
-def _grid_params(l_for):
+def default_message_bits(n: int) -> int:
+    """L when none is given: four bits per subpacket, 4 for one server."""
+    return 4 * (n - 1) if n > 1 else 4
+
+
+def _grid_params():
     for n in GRID_N:
         for k in GRID_K:
             for eps in GRID_EPS:
                 for delta in GRID_DELTA:
-                    yield SystemParams(n, k, l_for(n), eps, delta)
-
-
-def _l_for(n: int) -> int:
-    return 4 * (n - 1)
+                    yield SystemParams(n, k, default_message_bits(n), eps,
+                                       delta)
 
 
 def check_exhaustive_correctness() -> tuple[str, bool, str]:
@@ -64,10 +68,7 @@ def check_exhaustive_correctness() -> tuple[str, bool, str]:
         params = SystemParams(n, k, l, 0.0, 0.0)
         for s in key_sizes:
             layout = layout_for_key_bits(params, s)
-            for packed in range(1 << (k * l)):
-                msgs = tuple(
-                    BitString((packed >> (j * l)) & ((1 << l) - 1), l)
-                    for j in range(k))
+            for msgs in message_space(k, l):
                 for key in range(1 << s):
                     store = MessageStore(msgs, BitString(key, s))
                     for base in itertools.product(range(n), repeat=k):
@@ -91,7 +92,7 @@ def check_exhaustive_correctness() -> tuple[str, bool, str]:
 def check_structure_law() -> tuple[str, bool, str]:
     """Base-to-query mapping and the p/q = e^eps likelihood-ratio law."""
     for n, k in ((2, 2), (3, 2), (2, 3)):
-        params = SystemParams(n, k, _l_for(n), 0.5, 0.0)
+        params = SystemParams(n, k, default_message_bits(n), 0.5, 0.0)
         for desired in range(k):
             for db in range(n):
                 seen = set()
@@ -116,7 +117,8 @@ def check_structure_law() -> tuple[str, bool, str]:
         if eps == 0.0:
             continue
         for n, k in ((2, 2), (3, 2), (2, 3), (5, 4)):
-            dist = path_distribution(SystemParams(n, k, _l_for(n), eps, 0.0))
+            dist = path_distribution(
+                SystemParams(n, k, default_message_bits(n), eps, 0.0))
             if abs(dist.p / dist.q - math.exp(eps)) > TOL_EXACT * math.exp(eps):
                 return ("structure-law", False,
                         f"p/q off e^eps at n={n} k={k} eps={eps}")
@@ -175,7 +177,7 @@ def check_leakage_budget(key_bits_offset: int = 0) -> tuple[str, bool, str]:
 def check_gap_cap() -> tuple[str, bool, str]:
     """d_upper/d_lower stays under (N - e^-eps)/(N - 1), equality at eps=0."""
     points = 0
-    for params in _grid_params(_l_for):
+    for params in _grid_params():
         ratio, cap = bnd.gap_ratio(params)
         points += 1
         if ratio > cap + TOL_FLOAT or ratio < 1.0 - TOL_EXACT:
@@ -193,7 +195,7 @@ def check_threshold_ordering() -> tuple[str, bool, str]:
     """delta1 >= delta2, alpha1 >= alpha2, and both cost curves are
     continuous across their thresholds."""
     points = 0
-    for params in _grid_params(_l_for):
+    for params in _grid_params():
         points += 1
         d1, d2 = bnd.delta1_threshold(params), bnd.delta2_threshold(params)
         if d1 < d2 - TOL_EXACT:
@@ -205,8 +207,9 @@ def check_threshold_ordering() -> tuple[str, bool, str]:
         for thr, fn in ((d1, bnd.d_upper), (d2, bnd.d_lower)):
             if thr <= 0.0:
                 continue
-            below = fn(_with_delta(params, math.nextafter(thr, 0.0)))
-            at = fn(_with_delta(params, thr))
+            below = fn(dataclasses.replace(
+                params, delta=math.nextafter(thr, 0.0)))
+            at = fn(dataclasses.replace(params, delta=thr))
             if abs(below - at) > TOL_EXACT:
                 return ("threshold-ordering", False,
                         f"cost jump {abs(below - at):.3g} across threshold "
@@ -215,29 +218,15 @@ def check_threshold_ordering() -> tuple[str, bool, str]:
             f"{points} grid points ordered and continuous")
 
 
-def _with_delta(params: SystemParams, delta: float) -> SystemParams:
-    return SystemParams(params.n_databases, params.n_messages,
-                        params.message_bits, params.eps, delta,
-                        params.eps_cap)
-
-
 def check_point(params: SystemParams) -> tuple[str, bool, str]:
     """Budget check (oracle when feasible) at one caller-chosen point."""
-    layout = plan_partition(params)
-    analytic = analytic_db_leakage(params, layout)
-    budget = db_leak_budget_bits(params)
-    try:
-        oracle = exact_mi_oracle(params, layout).max_bits
-    except StateSpaceError:
-        ok = analytic <= budget + TOL_FLOAT
-        return ("point-leakage", ok,
-                f"analytic={analytic:.6g} budget={budget:.6g} "
-                "(oracle skipped: state space too large)")
-    ok = (abs(oracle - analytic) <= TOL_FLOAT
-          and oracle <= budget + TOL_FLOAT)
-    return ("point-leakage", ok,
-            f"oracle={oracle:.6g} analytic={analytic:.6g} "
-            f"budget={budget:.6g}")
+    leak = db_leak_audit(params, plan_partition(params))
+    detail = f"analytic={leak.analytic_bits:.6g} budget={leak.budget_bits:.6g}"
+    if leak.exact_bits is None:
+        detail += " (oracle skipped: state space too large)"
+    else:
+        detail = f"oracle={leak.exact_bits:.6g} {detail}"
+    return ("point-leakage", leak.ok, detail)
 
 
 def run_all(point: Optional[SystemParams] = None,

@@ -1,12 +1,13 @@
 """Command-line behavior: grids, tables, precedence, exit codes."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from alpir.cli import (BOUNDS_FIELDS, DEFAULTS, _bool_cast, main, parse_grid,
-                       verify_checks)
+from alpir.cli import BOUNDS_FIELDS, DEFAULTS, _bool_cast, main, parse_grid
+from alpir.selfcheck import run_all
 
 
 def run_cli(capsys, *args):
@@ -166,7 +167,7 @@ class TestVerifyCommand:
         assert "0/" not in lines[-1]
 
     def test_key_deficit_injection_fails_budget_check(self):
-        results = verify_checks(key_bits_offset=-1)
+        results = run_all(key_bits_offset=-1)
         by_name = {name: ok for name, ok, _ in results}
         assert not by_name["db-leakage-budget"]
 
@@ -185,6 +186,57 @@ class TestVerifyCommand:
 
 def self_eps() -> str:
     return str(math.log(1.5))
+
+
+class TestCliGolden:
+    """sha256 of simulate and verify output for fixed commands, recorded
+    before the audit checks were merged. Covers both transports, both
+    --out formats, and the oracle-skipped branches of simulate and the
+    verify point check (l=16 is far past the oracle's state cap)."""
+
+    WORKED = ("--n", "2", "--k", "2", "--l", "3", "--eps", str(math.log(1.5)),
+              "--delta", str(4 / 15), "--seed", "3", "--trials", "2000")
+    SKIPPED = ("--n", "2", "--k", "2", "--l", "16", "--eps", "0.5",
+               "--delta", "0.1")
+
+    @staticmethod
+    def digest(text) -> str:
+        if isinstance(text, str):
+            text = text.encode()
+        return hashlib.sha256(text).hexdigest()
+
+    @pytest.mark.parametrize("args, code, out_sha", [
+        (("simulate", *WORKED), 0,
+         "75c10381a57320dee8f765e344adb9dccee76d6e40df2998f8d8fe6a4764d78a"),
+        (("simulate", *WORKED, "--transport", "tcp"), 0,
+         "1816a1d5889276f8b2466a4fd1453b34094da2a28e7c5c46ca4c146aa7775785"),
+        (("simulate", *SKIPPED, "--trials", "1000"), 0,
+         "657b7510f7b140018559e7cc4d20b59807ab914b9ec309b0c4468e8935519bf9"),
+        (("verify", *SKIPPED), 0,
+         "0ee77777874a7cf3e1bb5851760abe17c1ea60abbb381887d9bb87a8de474f00"),
+        (("verify", "--inject-key-deficit", "-1"), 1,
+         "ea2285b606207887abb0e9b7b0370a78a9ba420a56870b710a59da528d4bacca"),
+    ], ids=["simulate-memory", "simulate-tcp", "simulate-oracle-skipped",
+            "verify-oracle-skipped", "verify-key-deficit"])
+    def test_stdout(self, capsys, args, code, out_sha):
+        got_code, out, _ = run_cli(capsys, *args)
+        assert got_code == code
+        assert self.digest(out) == out_sha
+
+    @pytest.mark.parametrize("fmt, file_sha", [
+        ("csv",
+         "e54d1147bcb9188535694a9593ac04b43d1421d0c8588b8109a6713838ea8864"),
+        ("json-lines",
+         "80e9212f81fa4ae15c1bb2af542bddc631bc3367f15df1dd4ef7d804d6b684ef"),
+    ])
+    def test_out_file(self, capsys, tmp_path, fmt, file_sha):
+        out_path = tmp_path / "sessions"
+        code, out, _ = run_cli(capsys, "simulate", *self.WORKED,
+                               "--format", fmt, "--out", str(out_path))
+        assert code == 0
+        assert self.digest(out_path.read_bytes()) == file_sha
+        assert self.digest(out) == (
+            "75c10381a57320dee8f765e344adb9dccee76d6e40df2998f8d8fe6a4764d78a")
 
 
 class TestConfigPrecedence:

@@ -218,7 +218,7 @@ class TestLeakageReport:
 
     def test_oracle_skipped_when_state_space_too_large(self):
         p = SystemParams(2, 2, 16, 0.5, 0.1)
-        rep = leakage_report(p, trials=1000, seed=0, state_cap=1000)
+        rep = leakage_report(p, trials=1000, seed=0)
         assert rep.db_leak_exact_bits is None
 
     def test_dict_round_trip_keys(self):
