@@ -108,18 +108,23 @@ def exact_mi_oracle(params: SystemParams, layout: PartitionLayout,
     """
     n, k, l = params.n_databases, params.n_messages, params.message_bits
     s = layout.key_bits
-    n_paths = n ** k
-    n_keys = 1 << s
+    # The state count is factor * 2^exponent. Feasibility is decided from
+    # bit lengths, because at large L the count itself is too big to build
+    # or to print in decimal.
+    factor, exponent = n ** k, s
     if message_support is None:
-        n_msgs = 1 << (k * l)
+        exponent += k * l
     else:
-        n_msgs = len(message_support)
-        if n_msgs == 0:
+        if not message_support:
             raise ValueError("message_support must be nonempty")
-    total = n_paths * n_msgs * n_keys
-    if total > state_cap:
+        factor *= len(message_support)
+    if (exponent >= state_cap.bit_length()
+            or factor << exponent > state_cap):
         raise StateSpaceError(
-            f"{total} states exceed the cap of {state_cap}")
+            f"2^{math.log2(factor) + exponent:.2f} states exceed the cap "
+            f"of {state_cap}")
+    n_keys = 1 << s
+    n_msgs = len(message_support) if message_support else 1 << (k * l)
 
     dist = path_distribution(params)
     bases = list(itertools.product(range(n), repeat=k))

@@ -23,9 +23,9 @@ from ..params import SystemParams
 from ..scheme import (MessageStore, PartitionLayout, PathClass,
                       PathDistribution, QueryVector, answer, decode,
                       make_queries, path_distribution, plan_partition,
-                      residual_view, sample_path)
+                      sample_path)
 from ..seeding import derived_rng
-from . import wire
+from . import transport, wire
 from .transport import TcpListener, memory_pair, tcp_connect
 
 CSV_HEADER = "session_id,desired,class,bits,leaked_bits"
@@ -143,8 +143,13 @@ class ServerHandle:
         return self._listener.port
 
     def stop(self) -> None:
+        """Close the listener and wait for the thread, which ends once its
+        client has hung up. A thread still running after READ_DEADLINE_S
+        is left to the daemon flag."""
         if self._listener is not None:
             self._listener.close()
+        if self._thread is not None:
+            self._thread.join(transport.READ_DEADLINE_S)
 
 
 @contextmanager
@@ -219,15 +224,17 @@ def _finish_session(layout: PartitionLayout, conns: Sequence,
                     ) -> tuple[BitString, SessionRecord]:
     """Second half of a session: read the N answers, decode, record.
 
-    The last answer frame stays referenced until the session is decoded,
-    and `run_trials` keeps each decoded message until the next replaces
-    it. At large L, freeing them earlier lets glibc's malloc trim the heap
-    top after every session and fault it back in on the next one: at N=2,
-    K=4, L=2^22 over TCP the client took 3-9.5x the page faults and ran up
-    to about 20% fewer sessions/s.
+    Each answer's part widths must be exactly what its query asks for: s
+    masked bits, and w open bits unless the query is all zeros. Then every
+    check of `residual_view` holds by construction, since decode's own
+    XORs are what it would XOR back out: a high-cost path leaves one w-bit
+    residual (the open part of the answer whose desired coordinate is 0)
+    and a low-cost path leaves none. So the session records w or 0 leaked
+    bits without rebuilding the residual.
     """
     answers = []
-    for t in pending.targets:
+    high = pending.path_class is PathClass.HIGH
+    for qv, t in zip(pending.queries, pending.targets):
         try:
             frame = wire.read_frame(conns[t])
         except OSError as exc:          # TimeoutError at the read deadline
@@ -242,18 +249,18 @@ def _finish_session(layout: PartitionLayout, conns: Sequence,
         sid, ans = wire.decode_answer(frame.payload)
         if sid != pending.session_id:
             raise SessionError("answer for a different session")
-        if ans.masked.nbits != layout.key_bits or ans.open.nbits not in (
-                0, layout.open_subpacket_bits):
+        open_bits = (layout.open_subpacket_bits
+                     if high or qv.indices[pending.desired] else 0)
+        if (ans.masked.nbits != layout.key_bits
+                or ans.open.nbits != open_bits):
             raise SessionError("answer part widths do not match layout")
         answers.append(ans)
-    queries = pending.queries
-    decoded = decode(answers, queries, pending.desired)
-    residual = residual_view(answers, queries, decoded, layout)
+    decoded = decode(answers, pending.queries, pending.desired)
     bits_down = sum(a.masked.nbits + a.open.nbits for a in answers)
     ok = decoded == expected if expected is not None else True
     record = SessionRecord(pending.session_id, pending.desired,
                            pending.path_class, bits_down, ok,
-                           residual.leaked_bits)
+                           layout.open_subpacket_bits if high else 0)
     return decoded, record
 
 
@@ -342,10 +349,12 @@ def run_trials(trials: int, params: SystemParams, seed: int,
                 sent += 1
             pending = in_flight.popleft()
             k = pending.desired
-            # `decoded` holds the previous message until this one replaces
-            # it; see _finish_session on heap trimming at large L.
-            decoded, record = _finish_session(layout, conns, pending,
-                                              store.messages[k])
+            # The decoded message is dropped at once. Held until the next
+            # one replaced it (N=2, K=4, L=2^22 over TCP), it ran no
+            # faster and cost 15-68 client page faults per session, not
+            # 11: glibc trimmed and re-faulted the heap top.
+            record = _finish_session(layout, conns, pending,
+                                     store.messages[k])[1]
             records.append(record)
             upload_bits += pending.upload_bits
             per_message[k] = per_message.get(k, 0) + 1

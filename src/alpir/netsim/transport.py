@@ -28,7 +28,8 @@ class ChannelConnection:
         self._inbox = inbox
         self._outbox = outbox
         self._timeout = timeout
-        self._buffer = b""
+        self._chunk = b""       # the chunk being read, from self._offset on
+        self._offset = 0
         self._eof = False
         self._closed = False
 
@@ -40,7 +41,7 @@ class ChannelConnection:
     def recv(self, max_n: int) -> bytes:
         if max_n <= 0:
             raise ValueError("max_n must be positive")
-        while not self._buffer and not self._eof:
+        while self._offset == len(self._chunk) and not self._eof:
             try:
                 chunk = self._inbox.get(timeout=self._timeout)
             except Empty:
@@ -48,11 +49,12 @@ class ChannelConnection:
             if chunk is None:
                 self._eof = True
             else:
-                self._buffer += chunk
-        if not self._buffer:
-            return b""
-        out, self._buffer = self._buffer[:max_n], self._buffer[max_n:]
-        return out
+                self._chunk, self._offset = chunk, 0
+        start, chunk = self._offset, self._chunk
+        self._offset = min(start + max_n, len(chunk))
+        if start == 0 and self._offset == len(chunk):
+            return chunk
+        return chunk[start:self._offset]
 
     def close(self) -> None:
         if not self._closed:
@@ -110,6 +112,12 @@ class TcpListener:
         return SocketConnection(sock)
 
     def close(self) -> None:
+        """Shut the socket down first: on Linux, close alone does not wake
+        a thread blocked in accept()."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
 

@@ -18,6 +18,12 @@ Bit strings are packed MSB-first and padded with zero bits to whole
 bytes; the explicit bit lengths make the padding unambiguous, and
 decoders reject nonzero padding. Anything undecodable raises WireError,
 which servers convert to an Error frame.
+
+Large answers are never copied part by part: read_frame's payload is a
+memoryview of the received body, decode_answer hands BitString views of
+it, and encode_answer writes each part's packed bytes straight into the
+one frame buffer. Frames too small to hold a part that BitString keeps
+packed get a bytes payload, which is cheaper to make and to slice.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .. import bits
 from ..bits import BitString
 from ..scheme import Answer
 
@@ -48,7 +55,7 @@ class WireError(Exception):
 @dataclass(frozen=True)
 class WireFrame:
     msg_type: int
-    payload: bytes
+    payload: bytes      # or a read-only memoryview, from read_frame
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -80,7 +87,9 @@ def read_frame(conn) -> WireFrame | None:
     if length < 1 or length > MAX_FRAME_BYTES:
         raise WireError("bad frame length")
     body = _read_exact(conn, length, allow_eof=False)
-    return WireFrame(body[0], body[1:])
+    if length < bits._PACKED_MIN_BYTES:
+        return WireFrame(body[0], body[1:])
+    return WireFrame(body[0], memoryview(body)[1:])
 
 
 def _read_exact(conn, n: int, allow_eof: bool):
@@ -133,14 +142,10 @@ def decode_query(payload: bytes) -> tuple[int, tuple[int, ...]]:
     return session_id, tuple(payload[9:])
 
 
-def _encode_bits(b: BitString) -> bytes:
-    return struct.pack(">I", b.nbits) + b.to_bytes()
-
-
 def _decode_bits(payload: bytes, off: int) -> tuple[BitString, int]:
     if len(payload) < off + 4:
         raise WireError("bit string header truncated")
-    (nbits,) = struct.unpack(">I", payload[off:off + 4])
+    (nbits,) = struct.unpack_from(">I", payload, off)
     nbytes = (nbits + 7) // 8
     off += 4
     if len(payload) < off + nbytes:
@@ -155,9 +160,13 @@ def _decode_bits(payload: bytes, off: int) -> tuple[BitString, int]:
 def encode_answer(session_id: int, ans: Answer) -> bytes:
     if not 0 <= session_id < 1 << 64:
         raise ValueError("session_id out of range")
-    payload = (struct.pack(">Q", session_id)
-               + _encode_bits(ans.masked) + _encode_bits(ans.open))
-    return encode_frame(MSG_ANSWER, payload)
+    masked, open_ = ans.masked._buffer(), ans.open._buffer()
+    length = 1 + 8 + 4 + len(masked) + 4 + len(open_)
+    if length > MAX_FRAME_BYTES:
+        raise WireError("frame too large")
+    return b"".join((struct.pack(">IBQI", length, MSG_ANSWER, session_id,
+                                 ans.masked.nbits), masked,
+                     struct.pack(">I", ans.open.nbits), open_))
 
 
 def answer_frame_bytes(masked_bits: int, open_bits: int) -> int:
@@ -168,7 +177,7 @@ def answer_frame_bytes(masked_bits: int, open_bits: int) -> int:
 def decode_answer(payload: bytes) -> tuple[int, Answer]:
     if len(payload) < 8:
         raise WireError("answer payload too short")
-    (session_id,) = struct.unpack(">Q", payload[:8])
+    (session_id,) = struct.unpack_from(">Q", payload)
     masked, off = _decode_bits(payload, 8)
     open_part, off = _decode_bits(payload, off)
     if off != len(payload):
@@ -186,7 +195,7 @@ def decode_error(payload: bytes) -> tuple[int, str]:
         raise WireError("error payload too short")
     (code,) = struct.unpack(">H", payload[:2])
     try:
-        text = payload[2:].decode()
+        text = bytes(payload[2:]).decode()
     except UnicodeDecodeError:
         raise WireError("error message is not utf-8") from None
     return code, text

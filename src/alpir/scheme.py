@@ -206,24 +206,26 @@ class MessageStore:
         return cls(msgs, BitString.random(layout.key_bits, rng))
 
     def subpacket_table(self, layout: PartitionLayout) -> tuple:
-        """Per message, the (masked, open) subpacket ints for v = 1..N-1.
+        """(key, rows): the fold operands `answer` XORs.
 
-        Row k, entry v-1 holds the values of layout.subpacket(message k,
-        1, v) and layout.subpacket(message k, 2, v). The table is built
-        on first use and lives as long as the store; it holds one more
-        copy of the messages. Servers share a store across threads, and
-        a race only builds the same table twice.
+        Row k, entry v-1 holds layout.subpacket(message k, 1, v) and
+        layout.subpacket(message k, 2, v). Each operand is an int, or a
+        read-only uint8 array of packed bytes for a wide part (see
+        `bits`). The table is built on first use and lives as long as the
+        store; it holds one more copy of the messages. Servers share a
+        store across threads, and a race only builds the same table twice.
         """
         table = self._tables.get(layout)
         if table is None:
             if self.key.nbits != layout.masked_subpacket_bits:
                 raise ValueError("key width does not match layout")
-            table = tuple(
-                tuple((layout.subpacket(m, 1, v).value,
-                       layout.subpacket(m, 2, v).value)
+            rows = tuple(
+                tuple((layout.subpacket(m, 1, v)._operand(),
+                       layout.subpacket(m, 2, v)._operand())
                       for v in range(1, layout.subpackets_per_part + 1))
                 for m in self.messages)
-            table = self._tables.setdefault(layout, table)
+            table = self._tables.setdefault(layout,
+                                            (self.key._operand(), rows))
         return table
 
 
@@ -260,14 +262,18 @@ def answer(store: MessageStore, layout: PartitionLayout,
     top = max(indices, default=0)
     if min(indices, default=0) < 0 or top > layout.subpackets_per_part:
         raise ValueError("query index out of range")
-    masked, open_ = store.key.value, 0
-    for row, v in zip(store.subpacket_table(layout), indices):
+    key, rows = store.subpacket_table(layout)
+    # `0 ^ key` keeps the in-place XORs out of the table (see
+    # BitString._operand).
+    masked, open_ = 0 ^ key, 0
+    for row, v in zip(rows, indices):
         if v:
             m, o = row[v - 1]
             masked ^= m
             open_ ^= o
-    return Answer(BitString(masked, store.key.nbits),
-                  BitString(open_, layout.open_subpacket_bits if top else 0))
+    return Answer(BitString._of_operand(masked, store.key.nbits),
+                  BitString._of_operand(
+                      open_, layout.open_subpacket_bits if top else 0))
 
 
 def _desired_zero_index(queries: Sequence[QueryVector], desired: int) -> dict:

@@ -239,6 +239,24 @@ class TestCliGolden:
             "75c10381a57320dee8f765e344adb9dccee76d6e40df2998f8d8fe6a4764d78a")
 
 
+class TestSimulateLargeMessages:
+    """At large L the oracle's state count 2^(K L + s) has far more than
+    the 4,300 decimal digits Python will print, so it is judged from bit
+    lengths and never formatted in decimal."""
+
+    @pytest.mark.parametrize("args", [
+        ("--l", "4096", "--trials", "2000"),
+        ("--l", str(1 << 22), "--eps", "0.5", "--delta", "0.1",
+         "--trials", "20", "--seed", "1"),
+    ], ids=["l4096", "l2^22"])
+    def test_oracle_skipped(self, capsys, args):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "4",
+                                 *args)
+        assert code == 0, err
+        assert "oracle=skipped" in out
+        assert "decode_failures=0" in out
+
+
 class TestConfigPrecedence:
     def _delta_cell(self, out: str) -> str:
         return out.strip().split("\n")[1].split(",")[3]

@@ -10,11 +10,12 @@ import inspect
 import io
 import math
 import random
+import threading
 import time
 
 import pytest
 
-from alpir import (BitString, MessageStore, PathClass, QueryVector,
+from alpir import (Answer, BitString, MessageStore, PathClass, QueryVector,
                    SystemParams, answer, derived_rng, make_queries,
                    path_distribution, plan_partition, sample_path)
 from alpir.netsim import (CSV_HEADER, ERR_BAD_QUERY, MSG_ANSWER, MSG_ERROR,
@@ -232,6 +233,21 @@ class TestDeterminismGolden:
             records_sha
         assert hashlib.sha256(counts.encode()).hexdigest() == counts_sha
 
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    def test_packed_width_digests(self, transport_name):
+        """A 7,180-byte masked part, worked on packed, beside a 1,013-byte
+        open part, worked as an int: decode joins the two forms."""
+        stats = run_trials(60, SystemParams(2, 4, 1 << 16, 0.5, 0.1),
+                           seed=7, transport=transport_name)
+        buf = io.StringIO()
+        records_to_csv(stats.records, buf)
+        counts = repr(sorted(stats.structure_counts.items()))
+        assert stats.decode_failures == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "6295f4d7678dd66424e6c00d685f4b839c334bb8a71f8b5fc15a6ad1823e5f09")
+        assert hashlib.sha256(counts.encode()).hexdigest() == (
+            "a00056d5f5572c6bf4519e5c3418e74d4968ed1d6e28069f83fa89e17b0966a1")
+
 
 class TestCsvExport:
     def test_header_and_rows(self):
@@ -341,6 +357,18 @@ class TestPipelining:
         assert sim.pipeline_window(WORKED, WORKED_LAYOUT) == 1
         assert run_trials(300, WORKED, seed=21) == piped
 
+    def test_tcp_runs_leave_no_threads(self):
+        """stop() wakes the accept loop and joins it, so repeated runs do
+        not pile up threads that keep their stores alive."""
+        baseline = threading.active_count()
+        for seed in range(6):
+            run_trials(20, WORKED, seed=seed, transport="tcp")
+            assert threading.active_count() == baseline
+        handle = sim.ServerHandle(0, STORE, WORKED_LAYOUT)
+        tcp_connect(handle.start_tcp()).close()
+        handle.stop()
+        assert threading.active_count() == baseline
+
     def test_large_answers_over_tcp_complete(self):
         """Answers far above the socket buffers must not deadlock."""
         p = SystemParams(2, 4, 1 << 20, 0.5, 0.1)
@@ -375,6 +403,11 @@ def faulty_server(fault, after):
                     if fault == "error":
                         conn.send(encode_error(ERR_BAD_QUERY, "refused"))
                         continue
+                    if fault == "open-width":   # open part always empty
+                        ans = answer(store, layout, QueryVector(indices))
+                        conn.send(encode_answer(
+                            sid, Answer(ans.masked, BitString(0, 0))))
+                        continue
                     sid += 1                           # "wrong-id"
                 served += 1
                 conn.send(encode_answer(
@@ -389,7 +422,8 @@ def faulty_server(fault, after):
 
 class TestSessionFaults:
     @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
-    @pytest.mark.parametrize("fault", ["error", "close", "wrong-id"])
+    @pytest.mark.parametrize("fault", ["error", "close", "wrong-id",
+                                       "open-width"])
     @pytest.mark.parametrize("after", [0, 7])
     def test_fault_raises_session_error(self, monkeypatch, fault, after,
                                         transport_name):
@@ -417,6 +451,18 @@ class TestSessionFaults:
         with deployment(WORKED, WORKED_LAYOUT, store) as conns:
             with pytest.raises(SessionError, match="deadline"):
                 retrieve(WORKED, WORKED_LAYOUT, 0, conns, random.Random(0))
+
+
+class TestChannelConnection:
+    def test_reads_across_and_within_chunks(self):
+        client, server = memory_pair()
+        for chunk in (b"abcdef", b"", b"gh", b"ijklmnop"):
+            server.send(chunk)
+        server.close()
+        got = [client.recv(n) for n in (4, 100, 1, 1, 3, 64)]
+        assert got == [b"abcd", b"ef", b"g", b"h", b"ijk", b"lmnop"]
+        assert client.recv(8) == b""
+        assert client.recv(8) == b""
 
 
 class TestReadDeadline:

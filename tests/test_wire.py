@@ -1,12 +1,15 @@
 """Framing and codec round-trips, plus rejection of malformed input."""
 
+import random
 import struct
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alpir import Answer, BitString
+from alpir import (Answer, BitString, MessageStore, QueryVector, SystemParams,
+                   answer, bits, layout_for_key_bits)
 from alpir.netsim import (MAX_FRAME_BYTES, MSG_ANSWER, MSG_ERROR, MSG_HELLO,
                           MSG_QUERY, PROTOCOL_VERSION, WireError,
                           decode_answer, decode_error, decode_hello,
@@ -74,6 +77,35 @@ class TestFraming:
         with pytest.raises(WireError):
             read_frame(b)
 
+    @pytest.mark.parametrize("cut", [2, 4, 5, 13, 600, -1])
+    def test_read_frame_byte_at_a_time(self, cut):
+        """1-byte recv chunks give the same frame; EOF anywhere inside a
+        frame, header or body, raises WireError. Small frames get a bytes
+        payload and large ones a view; both decode alike."""
+        wide = 8 * bits._PACKED_MIN_BYTES + 3
+        for masked in (BitString((1 << wide) - 3, wide),
+                       BitString((1 << 5600) - 3, 5600)):
+            ans = Answer(masked, BitString(5, 3))
+            raw = encode_answer(11, ans)
+            whole = read_frame(Trickle(raw))
+            assert whole.msg_type == MSG_ANSWER
+            assert decode_answer(whole.payload) == (11, ans)
+            assert read_frame(Trickle(b"")) is None
+            with pytest.raises(WireError, match="mid-frame"):
+                read_frame(Trickle(raw[:cut]))
+
+
+class Trickle:
+    """A connection that returns one byte per recv, then end of stream."""
+
+    def __init__(self, data: bytes):
+        self._data, self._at = data, 0
+
+    def recv(self, max_n: int) -> bytes:
+        out = self._data[self._at:self._at + 1]
+        self._at += len(out)
+        return out
+
 
 class TestCodecs:
     def test_hello(self):
@@ -138,6 +170,21 @@ class TestCodecs:
         with pytest.raises(WireError):
             decode_answer(bytes(payload))
 
+    def test_wide_answer_rejects_nonzero_padding(self):
+        """Wide parts are kept packed, unconverted; their pad bits are
+        still checked."""
+        nbits = 8 * bits._PACKED_MIN_BYTES + 5
+        for part in ("masked", "open"):
+            wide = BitString((1 << nbits) - 1, nbits)
+            ans = (Answer(wide, BitString(0, 0)) if part == "masked"
+                   else Answer(BitString(1, 1), wide))
+            payload = bytearray(parse_frame(encode_answer(7, ans)).payload)
+            assert decode_answer(bytes(payload)) == (7, ans)
+            end = len(payload) if part == "open" else 12 + (nbits + 7) // 8
+            payload[end - 1] |= 0x01
+            with pytest.raises(WireError, match="padding"):
+                decode_answer(bytes(payload))
+
     def test_answer_truncation(self):
         ans = Answer(BitString(0b101, 3), BitString(0b1, 2))
         payload = parse_frame(encode_answer(9, ans)).payload
@@ -157,3 +204,68 @@ class TestCodecs:
             decode_error(b"\x00")
         with pytest.raises(WireError):
             decode_error(struct.pack(">H", 1) + b"\xff\xfe")  # bad utf-8
+
+
+@contextmanager
+def packed_from(nbytes):
+    saved = bits._PACKED_MIN_BYTES
+    bits._PACKED_MIN_BYTES = nbytes
+    try:
+        yield
+    finally:
+        bits._PACKED_MIN_BYTES = saved
+
+
+def int_answer_frame(session_id, store, layout, indices):
+    """The Answer frame of an int-only fold, built without BitString."""
+    s, w = layout.masked_subpacket_bits, layout.open_subpacket_bits
+    per_part = layout.subpackets_per_part
+    masked, open_ = store.key.value, 0
+    for msg, v in zip(store.messages, indices):
+        if v:
+            value, nbits = msg.value, msg.nbits
+            masked ^= (value >> (nbits - v * s)) & ((1 << s) - 1)
+            open_ ^= (value >> (nbits - per_part * s - v * w)) & (
+                (1 << w) - 1)
+    w = w if any(indices) else 0
+
+    def part(value, nbits):
+        pad = -nbits % 8
+        return (struct.pack(">I", nbits)
+                + (value << pad).to_bytes((nbits + 7) // 8, "big"))
+
+    payload = (struct.pack(">Q", session_id) + part(masked, s)
+               + part(open_, w))
+    return struct.pack(">IB", 1 + len(payload), MSG_ANSWER) + payload
+
+
+WIDE_BITS = 8 * bits._PACKED_MIN_BYTES
+# Subpacket widths (bits per database part) on both sides of the
+# crossover, byte-aligned or not.
+sub_widths = st.one_of(st.integers(1, 64),
+                       st.integers(WIDE_BITS - 12, WIDE_BITS + 12),
+                       st.integers(WIDE_BITS, 3 * WIDE_BITS))
+
+
+class TestAnswerFold:
+    @pytest.mark.parametrize("crossover", [1, bits._PACKED_MIN_BYTES])
+    @given(st.integers(2, 3), st.integers(2, 4), sub_widths, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_encode_answer_matches_int_fold(self, crossover, n, k, per_sub,
+                                            data):
+        """encode_answer(answer(...)) is byte-identical to an int fold,
+        for key width 0, open width 0 and any alignment."""
+        key_bits = data.draw(st.one_of(st.just(0), st.just(per_sub),
+                                       st.integers(0, per_sub)))
+        params = SystemParams(n, k, per_sub * (n - 1), 0.5, 0.1)
+        layout = layout_for_key_bits(params, key_bits)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        with packed_from(crossover):
+            store = MessageStore.random(params, layout, rng)
+            for _ in range(3):
+                indices = tuple(rng.randrange(n) for _ in range(k))
+                got = encode_answer(9, answer(store, layout,
+                                              QueryVector(indices)))
+                assert got == int_answer_frame(9, store, layout, indices)
+                sid, back = decode_answer(parse_frame(got).payload)
+                assert back == answer(store, layout, QueryVector(indices))
