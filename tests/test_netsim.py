@@ -16,8 +16,8 @@ import time
 import pytest
 
 from alpir import (Answer, BitString, MessageStore, PathClass, QueryVector,
-                   SystemParams, answer, derived_rng, make_queries,
-                   path_distribution, plan_partition, sample_path)
+                   SystemParams, answer, derived_rng, empirical_cost_audit,
+                   make_queries, path_distribution, plan_partition, sample_path)
 from alpir.netsim import (CSV_HEADER, ERR_BAD_QUERY, MSG_ANSWER, MSG_ERROR,
                           MSG_HELLO, SessionError, TcpListener,
                           decode_answer, decode_error, decode_query,
@@ -223,7 +223,14 @@ class TestDeterminismGolden:
         (SystemParams(2, 255, 40, 0.5, 0.5), 200,
          "2340f2eabb9cc5083292ee6ae2e25cf31deb17df8dc6baba06651f6299dd17b5",
          "40cb33c20ffb77ace1b7e600870987bf6f2814899179ef8f10bdd5bb3b8e6c32"),
-    ], ids=["worked", "wide-k"])
+        # N=3 and N=5 reject draws with 2- and 3-bit words, unlike N=2.
+        (SystemParams(3, 255, 40, 0.5, 0.5), 200,
+         "5cd9752d1dd31444735eefa46c6a4c385bfffc043ee4abe5710306287516c004",
+         "dbfebe39e2429ec18698ea669c228fc3d02e7123cfc5b7897a18b0c8f8a70949"),
+        (SystemParams(5, 255, 40, 0.5, 0.5), 200,
+         "339b9ebbedbd5060e7367e00861b2883a7be77293cad68f4987f773985a5f5df",
+         "443abd1785daf3b612d40aa36eac251532978fc5372fd8b603aaf2e7d2452348"),
+    ], ids=["worked", "wide-k", "wide-k-n3", "wide-k-n5"])
     def test_pinned_digests(self, params, trials, records_sha, counts_sha):
         stats = run_trials(trials, params, seed=7, transport="memory")
         buf = io.StringIO()
@@ -232,6 +239,19 @@ class TestDeterminismGolden:
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
             records_sha
         assert hashlib.sha256(counts.encode()).hexdigest() == counts_sha
+
+    @pytest.mark.parametrize("params, digest", [
+        (SystemParams(2, 64, 40, 44.0, 0.5),
+         "d47d570b2deafb61a5df5d7462116ef0fb25b463a120422c224d66460054b3ff"),
+        (SystemParams(3, 40, 40, 43.0, 0.5),
+         "19a9fb5f4124fb4c622c200aa3274523ace46a72893c8f06e39eac6316f28840"),
+    ], ids=["n2-k64", "n3-k40"])
+    def test_wide_cost_audit_digest(self, params, digest):
+        """One RNG serves all 2,000 paths, and about half of them are
+        low-cost, so the count pins the RNG state each draw leaves."""
+        res = empirical_cost_audit(2000, params, seed=3)
+        assert hashlib.sha256(repr(res.to_dict()).encode()).hexdigest() == \
+            digest
 
     @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
     def test_packed_width_digests(self, transport_name):
