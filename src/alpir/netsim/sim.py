@@ -13,6 +13,7 @@ bit for bit from (params, seed) regardless of transport.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -107,7 +108,8 @@ def serve_connection(db_index: int, store: MessageStore,
 
 
 class ServerHandle:
-    """A database thread bound to exactly one connection source."""
+    """A database bound to one connection source: an in-memory pair, or a
+    TCP listener that serves each accepted connection on its own thread."""
 
     def __init__(self, db_index: int, store: MessageStore,
                  layout: PartitionLayout):
@@ -116,14 +118,19 @@ class ServerHandle:
         self._layout = layout
         self._thread: Optional[threading.Thread] = None
         self._listener: Optional[TcpListener] = None
+        self._workers: list[threading.Thread] = []
+
+    def _serve(self, conn) -> threading.Thread:
+        t = threading.Thread(
+            target=serve_connection,
+            args=(self.db_index, self._store, self._layout, conn),
+            daemon=True)
+        t.start()
+        return t
 
     def start_memory(self):
         client_end, server_end = memory_pair()
-        self._thread = threading.Thread(
-            target=serve_connection,
-            args=(self.db_index, self._store, self._layout, server_end),
-            daemon=True)
-        self._thread.start()
+        self._thread = self._serve(server_end)
         return client_end
 
     def start_tcp(self) -> int:
@@ -135,21 +142,25 @@ class ServerHandle:
                     conn = self._listener.accept()
                 except OSError:
                     return
-                serve_connection(self.db_index, self._store, self._layout,
-                                 conn)
+                self._workers = [t for t in self._workers if t.is_alive()]
+                self._workers.append(self._serve(conn))
 
         self._thread = threading.Thread(target=accept_loop, daemon=True)
         self._thread.start()
         return self._listener.port
 
     def stop(self) -> None:
-        """Close the listener and wait for the thread, which ends once its
-        client has hung up. A thread still running after READ_DEADLINE_S
-        is left to the daemon flag."""
+        """Close the listener and wait, READ_DEADLINE_S in all, for its
+        threads; a connection thread ends once its client has hung up. A
+        thread still running after that is left to the daemon flag."""
         if self._listener is not None:
             self._listener.close()
+        deadline = time.monotonic() + transport.READ_DEADLINE_S
+        # The accept loop first: it adds workers until it ends.
         if self._thread is not None:
             self._thread.join(transport.READ_DEADLINE_S)
+        for t in self._workers:
+            t.join(max(0.0, deadline - time.monotonic()))
 
 
 @contextmanager

@@ -24,8 +24,10 @@ subpackets (empty when every v_k is 0).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bits import BitString
@@ -151,24 +153,72 @@ def classify_base(base: Sequence[int], desired: int) -> PathClass:
     return PathClass.LOW
 
 
+# Draw count from which `_draw_below` reads words in batches. A batch
+# round costs a getrandbits, a to_bytes and a translate, and where half
+# the words are rejected (n a power of two) a batch takes several rounds,
+# so few draws are faster one by one. Measured on CPython 3.11 in
+# `sample_path` at N = 2 and N = 128, the batch took 1.06-1.07x the
+# loop's time at 5 draws, 0.99-1.02x at 6 and 7, and 0.95-0.97x at 8.
+_BATCH_MIN_DRAWS = 7
+
+
+@lru_cache(maxsize=None)
+def _top_byte_tables(n: int) -> tuple[bytes, bytes]:
+    """`bytes.translate` arguments for randrange(n), n <= 255: the table
+    maps a word's top byte to the value it draws, and the delete set holds
+    the top bytes that randrange rejects."""
+    shift = 8 - n.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= n))
+
+
+def _draw_below(n: int, m: int, rng) -> Sequence[int]:
+    """The values of m calls rng.randrange(n), leaving rng in the same state.
+
+    randrange(n) keeps a 32-bit word w iff w >> (32 - k) < n, with
+    k = n.bit_length(), and getrandbits(32 j) returns j consecutive words,
+    lowest first. For n <= 255 only the top byte of w matters, so each
+    round reads one word per value still missing and keeps the accepted
+    top bytes; no round reads past the word that completes the last value.
+    Only an exact `random.Random` is batched, since a subclass may draw
+    differently.
+    """
+    if type(rng) is not random.Random or n > 255 or m < _BATCH_MIN_DRAWS:
+        return [rng.randrange(n) for _ in range(m)]
+    table, reject = _top_byte_tables(n)
+    out = b""
+    while len(out) < m:
+        missing = m - len(out)
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        out += words[3::4].translate(table, reject)
+    return out
+
+
 def sample_path(dist: PathDistribution, desired: int, rng) -> PathChoice:
-    """Draw one base vector without enumerating the N^K-point support."""
+    """Draw one base vector without enumerating the N^K-point support.
+
+    The draws are, in order: rng.randrange(N) for the desired coordinate,
+    rng.random() for the class, and on a high-cost path K-1 more
+    randrange(N) for the other coordinates, all drawn again while all are
+    zero. Those K-1 values read the same Mersenne-Twister words as K-1
+    randrange(N) calls, so the path and the state left in rng are exactly
+    those of a per-draw loop. The words are read in batches when rng is
+    exactly `random.Random`, N <= 255 and K-1 >= 7; otherwise the loop
+    itself runs.
+    """
     n, k = dist.n_databases, dist.n_messages
     if not 0 <= desired < k:
         raise ValueError("desired message index out of range")
-    base = [0] * k
-    base[desired] = rng.randrange(n)
+    first = rng.randrange(n)
     if rng.random() < dist.low_total:
+        base = [0] * k
+        base[desired] = first
         return PathChoice(tuple(base), desired, PathClass.LOW)
-    while True:
-        others = [rng.randrange(n) for _ in range(k - 1)]
-        if any(others):
-            break
-    it = iter(others)
-    for j in range(k):
-        if j != desired:
-            base[j] = next(it)
-    return PathChoice(tuple(base), desired, PathClass.HIGH)
+    others = _draw_below(n, k - 1, rng)
+    while not any(others):
+        others = _draw_below(n, k - 1, rng)
+    return PathChoice((*others[:desired], first, *others[desired:]),
+                      desired, PathClass.HIGH)
 
 
 def structure_probability(dist: PathDistribution, indices: Sequence[int],

@@ -389,6 +389,29 @@ class TestPipelining:
         handle.stop()
         assert threading.active_count() == baseline
 
+    def test_tcp_clients_do_not_block_each_other(self, monkeypatch):
+        """A second client is greeted and answered while the first is
+        still connected; stop() then joins both connection threads."""
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 5.0)
+        baseline = threading.active_count()
+        handle = sim.ServerHandle(0, STORE, WORKED_LAYOUT)
+        port = handle.start_tcp()
+        first, second = tcp_connect(port), tcp_connect(port)
+        try:
+            for conn in (first, second):
+                conn.send(encode_hello())
+                assert read_frame(conn).msg_type == MSG_HELLO
+            for sid, conn in enumerate((second, first)):
+                conn.send(encode_query(sid, (1, 0)))
+                got_sid, ans = decode_answer(read_frame(conn).payload)
+                assert got_sid == sid
+                assert ans == answer(STORE, WORKED_LAYOUT, QueryVector((1, 0)))
+        finally:
+            first.close()
+            second.close()
+            handle.stop()
+        assert threading.active_count() == baseline
+
     def test_large_answers_over_tcp_complete(self):
         """Answers far above the socket buffers must not deadlock."""
         p = SystemParams(2, 4, 1 << 20, 0.5, 0.1)
