@@ -162,7 +162,7 @@ def classify_base(base: Sequence[int], desired: int) -> PathClass:
 _BATCH_MIN_DRAWS = 7
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _top_byte_tables(n: int) -> tuple[bytes, bytes]:
     """`bytes.translate` arguments for randrange(n), n <= 255: the table
     maps a word's top byte to the value it draws, and the delete set holds
