@@ -17,7 +17,8 @@ import pytest
 
 from alpir import (Answer, BitString, MessageStore, PathClass, QueryVector,
                    SystemParams, answer, derived_rng, empirical_cost_audit,
-                   make_queries, path_distribution, plan_partition, sample_path)
+                   make_queries, path_distribution, plan_partition,
+                   sample_path)
 from alpir.netsim import (CSV_HEADER, ERR_BAD_QUERY, MSG_ANSWER, MSG_ERROR,
                           MSG_HELLO, SessionError, TcpListener,
                           decode_answer, decode_error, decode_query,
