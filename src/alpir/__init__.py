@@ -2,7 +2,7 @@
 
 The package covers the whole pipeline: closed-form download-cost bounds
 (alpir.bounds), the retrieval scheme itself (alpir.scheme), analytic and
-brute-force privacy auditing (alpir.leakage), a wire-level client/server
+exact GF(2)-rank privacy auditing (alpir.leakage), a wire-level client/server
 simulator (alpir.netsim), and a command-line front end (alpir.cli).
 """
 

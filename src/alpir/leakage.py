@@ -15,8 +15,12 @@ Database-side privacy is the mutual information between the undesired
 messages and the user's full view, in bits. Analytically one high-cost
 session leaks exactly the width of the surviving open XOR combination and
 low-cost sessions leak nothing, giving (1 - Np) * (L/(N-1) - s) bits. The
-exact oracle recomputes the mutual information by brute-force enumeration
-of messages, key, and path, and must agree to float precision.
+exact oracle recomputes the mutual information without the closed form:
+the answers are GF(2)-linear in uniform messages and key, so each path
+leaks a rank deficit of its answer matrix, whose rows it reads from the
+real `answer` on a one-bit-per-slot probe store. Its cost is a count of
+`answer` calls that grows with N and K but not with L, and it is skipped
+above ORACLE_CALL_CAP calls.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,13 +41,16 @@ from .scheme import (MessageStore, PartitionLayout, PathChoice,
                      plan_partition, sample_path, session_download_bits)
 from .seeding import derived_rng
 
-DEFAULT_STATE_CAP = 1 << 24
+# Most `answer` calls exact_mi_oracle may make; the count does not depend
+# on L. N=2 K=128 takes 65,536 and fits (2.5 s on a 2-vCPU x86 VM); N=2
+# K=255 would take 260,100 and is skipped.
+ORACLE_CALL_CAP = 1 << 16
 MIN_AUDIT_TRIALS = 1000
 LEAK_TOL_BITS = 1e-9
 
 
 class StateSpaceError(RuntimeError):
-    """The exact oracle would have to enumerate too many states."""
+    """The exact oracle would need more `answer` calls than its cap."""
 
 
 def analytic_user_ratio(dist: PathDistribution) -> float:
@@ -94,85 +101,96 @@ class OracleResult:
 
 
 def exact_mi_oracle(params: SystemParams, layout: PartitionLayout,
-                    state_cap: int = DEFAULT_STATE_CAP,
-                    message_support: Optional[Sequence[tuple[int, ...]]] = None,
-                    ) -> OracleResult:
-    """I(undesired messages; queries, answers) by full enumeration.
+                    call_cap: int = ORACLE_CALL_CAP) -> OracleResult:
+    """I(undesired messages; queries, answers) in bits, per desired index.
 
-    Sums the joint law over every message assignment (uniform, or uniform
-    over an explicit support), every key value, and every base vector,
-    running the real scheme to produce the view. Independent of the
-    analytic route: nothing here knows the closed form.
+    The queries name the path, and every answer bit is a GF(2)-linear
+    function of the uniform messages and key. So a path leaks
+    rank(G) - rank(G on the key and W_desired columns), where G maps
+    (messages, key) to the path's answer bits. Bit t of a part XORs only
+    bit t of the key and of the selected subpackets, so G repeats one
+    N-row block per masked bit offset (M) and one per open bit offset (O):
 
-    Raises StateSpaceError when paths * messages * keys exceeds state_cap.
+        leak = s (rank M - rank M|known) + w (rank O - rank O|known)
+
+    The rows of M and O come from the real `answer` on a probe store (see
+    `_probe_store`), not from the closed form. The undesired coordinates
+    of a base are exchangeable, so the bases are visited as x_desired
+    times a multiset of the other K-1 values, weighted by its multinomial
+    count, and LOW and HIGH bits are totalled as ints and weighted by p
+    and q once. The cost does not depend on L.
+
+    Raises StateSpaceError when the K N C(K+N-2, N-1) N `answer` calls
+    this takes exceed call_cap.
     """
-    n, k, l = params.n_databases, params.n_messages, params.message_bits
-    s = layout.key_bits
-    # The state count is factor * 2^exponent. Feasibility is decided from
-    # bit lengths, because at large L the count itself is too big to build
-    # or to print in decimal.
-    factor, exponent = n ** k, s
-    if message_support is None:
-        exponent += k * l
-    else:
-        if not message_support:
-            raise ValueError("message_support must be nonempty")
-        factor *= len(message_support)
-    if (exponent >= state_cap.bit_length()
-            or factor << exponent > state_cap):
+    n, k = params.n_databases, params.n_messages
+    calls = k * n * math.comb(k + n - 2, n - 1) * n
+    if calls > call_cap:
         raise StateSpaceError(
-            f"2^{math.log2(factor) + exponent:.2f} states exceed the cap "
-            f"of {state_cap}")
-    n_keys = 1 << s
-    n_msgs = len(message_support) if message_support else 1 << (k * l)
-
+            f"{calls} answer calls exceed the cap of {call_cap}")
     dist = path_distribution(params)
-    bases = list(itertools.product(range(n), repeat=k))
-
-    def message_tuples():
-        if message_support is not None:
-            for combo in message_support:
-                if len(combo) != k:
-                    raise ValueError("support entries must list K messages")
-                yield tuple(BitString(m, l) for m in combo)
-        else:
-            yield from message_space(k, l)
-
+    store, probe, known = _probe_store(n, k)
     per_message = []
     for desired in range(k):
-        joint = defaultdict(float)
-        view_marg = defaultdict(float)
-        rest_marg = defaultdict(float)
-        for msgs in message_tuples():
-            rest = tuple(msgs[j].value for j in range(k) if j != desired)
-            for key in range(n_keys):
-                store = MessageStore(msgs, BitString(key, s))
-                w = 1.0 / (n_msgs * n_keys)
-                for base in bases:
-                    if classify_base(base, desired) is PathClass.LOW:
-                        px = dist.p
-                    else:
-                        px = dist.q
-                    if px == 0.0:
-                        continue
-                    choice = PathChoice(base, desired,
-                                        classify_base(base, desired))
-                    view = tuple(
-                        (qv.indices,) + _answer_key(answer(store, layout, qv))
-                        for qv in make_queries(choice, params))
-                    pr = px * w
-                    joint[(rest, view)] += pr
-                    view_marg[view] += pr
-                    rest_marg[rest] += pr
-        mi = 0.0
-        for (rest, view), pr in joint.items():
-            mi += pr * math.log2(pr / (rest_marg[rest] * view_marg[view]))
-        per_message.append(max(0.0, mi))
+        known_masked, known_open = known[desired]
+        low_bits = high_bits = 0
+        for others in itertools.combinations_with_replacement(range(n),
+                                                               k - 1):
+            weight = math.factorial(k - 1)
+            for v in range(n):
+                weight //= math.factorial(others.count(v))
+            for first in range(n):
+                base = (*others[:desired], first, *others[desired:])
+                path_class = classify_base(base, desired)
+                answers = [answer(store, probe, qv) for qv in make_queries(
+                    PathChoice(base, desired, path_class), params)]
+                masked = [a.masked.value for a in answers]
+                open_ = [a.open.value for a in answers]
+                bits = (layout.key_bits * (
+                    _rank(masked) - _rank(m & known_masked for m in masked))
+                    + layout.open_subpacket_bits * (
+                    _rank(open_) - _rank(o & known_open for o in open_)))
+                if path_class is PathClass.LOW:
+                    low_bits += bits
+                else:
+                    high_bits += weight * bits
+        per_message.append(max(0.0, dist.p * low_bits + dist.q * high_bits))
     return OracleResult(max(per_message), tuple(per_message))
 
 
-def _answer_key(a) -> tuple:
-    return (a.masked.value, a.masked.nbits, a.open.value, a.open.nbits)
+def _probe_store(n: int, k: int) -> tuple[MessageStore, PartitionLayout,
+                                          list[tuple[int, int]]]:
+    """A store whose key and (message, subpacket) slots are each one set
+    bit of their own, its layout, and per message j the (masked, open)
+    masks of the columns known once W_j is: the key and W_j's slots.
+
+    An answer's value is then one row of the M and O blocks. Open parts
+    are K(N-1) bits wide, subpacket v of message j at 1 << (j(N-1) + v-1);
+    masked parts are one bit wider, the key at 1 and every subpacket one
+    bit above its open twin.
+    """
+    sub = n - 1
+    masked_w, open_w = 1 + k * sub, k * sub
+    layout = PartitionLayout(masked_w, masked_w, open_w, sub, 0.0, 0.0)
+    slots = [[1 << (j * sub + v) for v in range(sub)] for j in range(k)]
+    messages = tuple(BitString.join(
+        [BitString(b << 1, masked_w) for b in bits]
+        + [BitString(b, open_w) for b in bits]) for bits in slots)
+    known = [(1 | sum(bits) << 1, sum(bits)) for bits in slots]
+    return MessageStore(messages, BitString(1, masked_w)), layout, known
+
+
+def _rank(rows) -> int:
+    """Rank over GF(2) of ints read as bit vectors. Each kept row has a
+    leading bit that no other kept row has, so reducing by min(r, r ^ b)
+    clears them in turn."""
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -309,8 +327,8 @@ def empirical_cost_audit(trials: int, params: SystemParams,
 
 @dataclass(frozen=True)
 class DbLeakAudit:
-    """Leaked bits per session; exact_bits is None when the oracle's state
-    space is too large, and then only the closed form meets the budget."""
+    """Leaked bits per session; exact_bits is None when the oracle is over
+    its call cap, and then only the closed form meets the budget."""
 
     analytic_bits: float
     budget_bits: float
@@ -360,7 +378,10 @@ class LeakageReport:
 
 def leakage_report(params: SystemParams, trials: int,
                    seed: int) -> LeakageReport:
-    """Assemble the full report; the oracle is skipped when it cannot fit."""
+    """Assemble the full report. db_leak_exact_bits is the rank oracle's
+    value, which costs the same at every L; it is None only when the
+    oracle would need more than ORACLE_CALL_CAP `answer` calls (N=2 at
+    K > 128, for example)."""
     dist = path_distribution(params)
     audit = empirical_query_audit(trials, params, seed)
     leak = db_leak_audit(params, plan_partition(params))

@@ -176,6 +176,15 @@ class TestVerifyCommand:
         assert code == 1
         assert any(line.startswith("FAIL") for line in out.split("\n"))
 
+    def test_point_oracle_at_three_databases(self, capsys):
+        # 54 answer calls for the rank oracle, against 9 * 2^20 states
+        # per desired index for an enumeration of messages and key.
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--k", "2",
+                               "--eps", "0.5")
+        assert code == 0
+        point = out.splitlines()[-2]
+        assert point.startswith("PASS point-leakage: oracle=")
+
     def test_single_server_short_circuit(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "1", "--k", "4",
                                "--delta", "3")
@@ -190,9 +199,10 @@ def self_eps() -> str:
 
 class TestCliGolden:
     """sha256 of simulate and verify output for fixed commands, recorded
-    before the audit checks were merged. Covers both transports, both
-    --out formats, and the oracle-skipped branches of simulate and the
-    verify point check (l=16 is far past the oracle's state cap)."""
+    before the audit checks were merged. Covers both transports and both
+    --out formats. The two "oracle-skipped" rows (l=16) once covered the
+    skipped branch of the brute-force oracle; the rank oracle's cost does
+    not grow with l, and they were re-pinned with its exact value."""
 
     WORKED = ("--n", "2", "--k", "2", "--l", "3", "--eps", str(math.log(1.5)),
               "--delta", str(4 / 15), "--seed", "3", "--trials", "2000")
@@ -211,11 +221,11 @@ class TestCliGolden:
         (("simulate", *WORKED, "--transport", "tcp"), 0,
          "1816a1d5889276f8b2466a4fd1453b34094da2a28e7c5c46ca4c146aa7775785"),
         (("simulate", *SKIPPED, "--trials", "1000"), 0,
-         "657b7510f7b140018559e7cc4d20b59807ab914b9ec309b0c4468e8935519bf9"),
+         "b4608b08784b1a065052030363d4e06abd0d9f17531d10e0b70dd588764e7b89"),
         (("verify", *SKIPPED), 0,
-         "0ee77777874a7cf3e1bb5851760abe17c1ea60abbb381887d9bb87a8de474f00"),
+         "53417af047d3a0e4741e7ec3901137b3349737ff4f73f538a97d24d78b1e063c"),
         (("verify", "--inject-key-deficit", "-1"), 1,
-         "ea2285b606207887abb0e9b7b0370a78a9ba420a56870b710a59da528d4bacca"),
+         "2a6c5f849995184d5be4d4206d6fe53e8a4ff4a3226f10c68aefe5ebe0ade302"),
     ], ids=["simulate-memory", "simulate-tcp", "simulate-oracle-skipped",
             "verify-oracle-skipped", "verify-key-deficit"])
     def test_stdout(self, capsys, args, code, out_sha):
@@ -240,21 +250,35 @@ class TestCliGolden:
 
 
 class TestSimulateLargeMessages:
-    """At large L the oracle's state count 2^(K L + s) has far more than
-    the 4,300 decimal digits Python will print, so it is judged from bit
-    lengths and never formatted in decimal."""
+    """The rank oracle's cost does not grow with L, so simulate prints its
+    exact value at every L, equal to the closed form; only shapes over its
+    answer-call cap (N=2 K=255) are skipped."""
+
+    @staticmethod
+    def leakage_line(out: str) -> dict:
+        line = next(ln for ln in out.splitlines()
+                    if ln.startswith("db leakage:"))
+        return dict(f.split("=") for f in line.split() if "=" in f)
 
     @pytest.mark.parametrize("args", [
         ("--l", "4096", "--trials", "2000"),
         ("--l", str(1 << 22), "--eps", "0.5", "--delta", "0.1",
          "--trials", "20", "--seed", "1"),
     ], ids=["l4096", "l2^22"])
-    def test_oracle_skipped(self, capsys, args):
+    def test_oracle_exact(self, capsys, args):
         code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "4",
                                  *args)
         assert code == 0, err
-        assert "oracle=skipped" in out
+        leak = self.leakage_line(out)
+        assert leak["oracle"] == leak["analytic"]
         assert "decode_failures=0" in out
+
+    def test_oracle_skipped_over_call_cap(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k",
+                                 "255", "--l", "40", "--eps", "0.5",
+                                 "--delta", "0.5", "--trials", "300")
+        assert code == 0, err
+        assert self.leakage_line(out)["oracle"] == "skipped"
 
 
 class TestConfigPrecedence:

@@ -1,21 +1,28 @@
-"""Leakage accounting: analytic formulas, the enumeration oracle, audits.
+"""Leakage accounting: analytic formulas, the rank oracle, audits.
 
 The oracle values are frozen from hand calculations of the mutual
 information, not from the analytic code path (which the oracle is meant
-to check in the first place).
+to check in the first place), and the rank oracle is checked against
+the brute-force enumeration in oracle_reference.
 """
 
 import math
+from unittest import mock
 
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alpir import (StateSpaceError, SystemParams, analytic_db_leakage,
                    analytic_user_ratio, db_leak_budget_bits,
                    empirical_cost_audit, empirical_query_audit,
-                   exact_mi_oracle, layout_for_key_bits, leakage_report,
-                   path_distribution, plan_partition,
+                   exact_mi_oracle, layout_for_key_bits, leakage,
+                   leakage_report, path_distribution, plan_partition,
                    ratio_audit_from_counts)
+from alpir.leakage import LEAK_TOL_BITS
+from alpir.selfcheck import ORACLE_INSTANCES
+from oracle_reference import brute_mi_oracle, brute_states
 
 EXACT = 1e-12
 ORACLE_TOL = 1e-9
@@ -97,12 +104,12 @@ class TestExactOracle:
             assert res.max_bits == pytest.approx(
                 analytic_db_leakage(p, lay), abs=ORACLE_TOL)
 
+    # The brute-force reference on message priors that the rank oracle
+    # (uniform messages only) cannot express.
     def test_point_mass_support_carries_no_information(self):
-        support = [(0b10, 0b01)]
-        res = exact_mi_oracle(WORKED, WORKED_LAYOUT,
+        res = brute_mi_oracle(WORKED, WORKED_LAYOUT,
                               message_support=[(0b101, 0b011)])
         assert res.max_bits == pytest.approx(0.0, abs=ORACLE_TOL)
-        del support
 
     def test_two_point_support_hand_value(self):
         # Messages of 2 bits, no key: W1 uniform on {00, 11}. The open
@@ -111,10 +118,14 @@ class TestExactOracle:
         p = SystemParams(2, 2, 2, 0.0, 0.6)
         lay = plan_partition(p)
         assert lay.key_bits == 0
-        res = exact_mi_oracle(p, lay, message_support=[(0, 0), (0, 3)])
+        res = brute_mi_oracle(p, lay, message_support=[(0, 0), (0, 3)])
         assert res.per_message[0] == pytest.approx(0.5, abs=ORACLE_TOL)
         assert res.per_message[1] == pytest.approx(0.0, abs=ORACLE_TOL)
         assert res.max_bits == pytest.approx(0.5, abs=ORACLE_TOL)
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError):
+            brute_mi_oracle(WORKED, WORKED_LAYOUT, message_support=[])
 
     def test_per_message_asymmetry_with_unequal_budgets(self):
         # desired index is part of the oracle's conditioning, so the
@@ -124,10 +135,80 @@ class TestExactOracle:
         assert res.max_bits == max(res.per_message)
 
     def test_state_cap_enforced(self):
+        # The worked example takes K N C(K+N-2, N-1) N = 2*2*2*2 = 16
+        # answer calls.
         with pytest.raises(StateSpaceError):
-            exact_mi_oracle(WORKED, WORKED_LAYOUT, state_cap=100)
-        with pytest.raises(ValueError):
-            exact_mi_oracle(WORKED, WORKED_LAYOUT, message_support=[])
+            exact_mi_oracle(WORKED, WORKED_LAYOUT, call_cap=15)
+        res = exact_mi_oracle(WORKED, WORKED_LAYOUT, call_cap=16)
+        assert res.max_bits == pytest.approx(0.8, abs=ORACLE_TOL)
+
+    def test_answer_calls_do_not_depend_on_l(self):
+        calls = []
+        for l in (16, 1 << 22):
+            p = SystemParams(2, 4, l, 0.5, 0.1)
+            with mock.patch("alpir.leakage.answer",
+                            wraps=leakage.answer) as spy:
+                exact_mi_oracle(p, plan_partition(p))
+            calls.append(spy.call_count)
+        assert calls == [4 * 2 * 4 * 2] * 2
+
+
+# The rank oracle against the brute-force reference, which enumerates
+# every message, key and base through the real `answer`.
+BRUTE_INSTANCES = ORACLE_INSTANCES + ((2, 2, 5, 0.5, 0.2),)
+BRUTE_BUDGET = 1 << 13
+EPS_VALUES = (0.0, math.log(1.5), 3.0, math.inf)
+
+
+def assert_matches_brute(p, lay):
+    got = exact_mi_oracle(p, lay).per_message
+    want = brute_mi_oracle(p, lay).per_message
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, abs=EXACT)
+
+
+class TestRankMatchesBrute:
+    @pytest.mark.parametrize("inst", BRUTE_INSTANCES,
+                             ids=[f"{n}-{k}-{l}-{eps:.3g}-{delta:.3g}"
+                                  for n, k, l, eps, delta
+                                  in BRUTE_INSTANCES])
+    def test_instances(self, inst):
+        p = SystemParams(*inst)
+        assert_matches_brute(p, plan_partition(p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from((2, 3)), k=st.sampled_from((2, 3)),
+           per_sub=st.integers(1, 2), key_bits=st.integers(0, 2),
+           eps=st.sampled_from(EPS_VALUES))
+    def test_tiny_shapes_every_key_size(self, n, k, per_sub, key_bits,
+                                        eps):
+        assume(key_bits <= per_sub)
+        p = SystemParams(n, k, per_sub * (n - 1), eps, 0.0)
+        lay = layout_for_key_bits(p, key_bits)
+        assume(brute_states(p, lay) <= BRUTE_BUDGET)
+        assert_matches_brute(p, lay)
+
+    def test_tiny_shapes_cover_both_key_extremes(self):
+        # s = 0 (open parts only) and w = 0 (masked parts only)
+        p = SystemParams(2, 2, 2, math.log(1.5), 0.0)
+        for s in (0, 2):
+            assert_matches_brute(p, layout_for_key_bits(p, s))
+
+
+class TestRankMatchesClosedForm:
+    @pytest.mark.parametrize("shape", [
+        (2, 2, 3, math.log(1.5), 4 / 15),
+        (2, 4, 1 << 22, 0.5, 0.1),
+        (5, 4, 16, 0.5, 0.1),
+    ], ids=["small-mem", "large-tcp", "n5-k4"])
+    def test_shape(self, shape):
+        # The closed form holds for every desired index, not only the max.
+        p = SystemParams(*shape)
+        lay = plan_partition(p)
+        analytic = analytic_db_leakage(p, lay)
+        for bits in exact_mi_oracle(p, lay).per_message:
+            assert abs(bits - analytic) <= LEAK_TOL_BITS
 
 
 class TestQueryAudit:
@@ -217,7 +298,8 @@ class TestLeakageReport:
                    - rep.user_ratio_analytic) <= rep.user_ratio_halfwidth
 
     def test_oracle_skipped_when_state_space_too_large(self):
-        p = SystemParams(2, 2, 16, 0.5, 0.1)
+        # N=10 K=4: 4 * 10 * C(12, 9) * 10 = 88,000 answer calls
+        p = SystemParams(10, 4, 9, 0.5, 0.1)
         rep = leakage_report(p, trials=1000, seed=0)
         assert rep.db_leak_exact_bits is None
 
