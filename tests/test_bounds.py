@@ -4,10 +4,11 @@ Expected numbers are frozen as explicit fractions or hand-simplified
 expressions, never recomputed through the code under test.
 """
 
+import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
@@ -311,3 +312,78 @@ class TestValidationAndReport:
         d = rep.to_dict()
         assert d["n"] == 2 and d["regime"] == "General"
         assert d["gap_cap"] == pytest.approx(4 / 3, abs=EXACT)
+
+
+SINGLE_VALUE = {"d_upper": d_upper, "d_lower": d_lower,
+                "alpha1": alpha1_rate, "alpha2": alpha2_rate,
+                "delta1": delta1_threshold, "delta2": delta2_threshold}
+
+
+def outcome(fn, p):
+    """fn(p), or OverflowError when it raises one."""
+    try:
+        return fn(p)
+    except OverflowError:
+        return OverflowError
+
+
+def near_threshold(n, k, eps, threshold, step):
+    """A delta at (step 0), one ulp below (-1) or one ulp above (+1) the
+    threshold; 0.25 where the threshold itself overflows."""
+    thr = outcome(threshold, params(n, k, eps, 0.0))
+    if thr is OverflowError:
+        return 0.25
+    if step:
+        return math.nextafter(thr, math.inf if step > 0 else 0.0)
+    return thr
+
+
+class TestReportMatchesSingleValues:
+    """bounds_report evaluates every closed form in one pass; each field
+    must equal its single-value function exactly, at and next to the
+    thresholds, near the eps cap and at eps = inf."""
+
+    @given(st.integers(2, 7), st.integers(2, 40),
+           st.one_of(st.sampled_from([0.0, 49.9, 50.0, math.inf]),
+                     st.floats(0.0, 60.0)),
+           st.sampled_from([delta1_threshold, delta2_threshold]),
+           st.sampled_from([-1, 0, 1]))
+    @example(7, 40, 49.9, delta2_threshold, 0)
+    @example(2, 40, 0.0, delta1_threshold, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_fields_equal_single_value_functions(self, n, k, eps, threshold,
+                                                 step):
+        p = params(n, k, eps, near_threshold(n, k, eps, threshold, step))
+        report = outcome(bounds_report, p)
+        singles = {name: outcome(fn, p) for name, fn in SINGLE_VALUE.items()}
+        gap = outcome(gap_ratio, p)
+        regime = outcome(classify_regime, p)
+        raised = OverflowError in (*singles.values(), gap, regime)
+        # The report raises exactly when one of the functions does; making
+        # the forms total is a separate change.
+        assert (report is OverflowError) == raised
+        if raised:
+            return
+        for name, value in singles.items():
+            assert getattr(report, name) == value, name
+        assert (report.gap_ratio, report.gap_cap) == gap
+        assert (report.regime, report.reference_cost) == (
+            regime.regime, regime.reference_cost)
+
+    def test_edge_points_pinned(self):
+        """sha256 of every report at the grid shapes, eps on both sides of
+        the cap, and delta at and one ulp below each threshold, recorded
+        before the forms were evaluated in one pass."""
+        rows = []
+        for n in (2, 3, 5):
+            for k in (2, 3, 4):
+                for eps in (0.0, 0.3, 49.9, 50.0, 80.0, math.inf):
+                    deltas = [0.0]
+                    for threshold in (delta1_threshold, delta2_threshold):
+                        deltas += [near_threshold(n, k, eps, threshold, s)
+                                   for s in (-1, 0)]
+                    rows += [bounds_report(params(n, k, eps, d)).to_dict()
+                             for d in deltas]
+        assert len(rows) == 270
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "d168585e9c19baec7568f8b0acd8db26650422a3f35379e9cf112ad7d0c79da8")

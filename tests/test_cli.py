@@ -202,7 +202,9 @@ class TestCliGolden:
     before the audit checks were merged. Covers both transports and both
     --out formats. The two "oracle-skipped" rows (l=16) once covered the
     skipped branch of the brute-force oracle; the rank oracle's cost does
-    not grow with l, and they were re-pinned with its exact value."""
+    not grow with l, and they were re-pinned with its exact value. The
+    bounds and sweep rows cover the single-server table, the eps cap from
+    either side and eps = inf, and the benchmark's 46,359-row grid."""
 
     WORKED = ("--n", "2", "--k", "2", "--l", "3", "--eps", str(math.log(1.5)),
               "--delta", str(4 / 15), "--seed", "3", "--trials", "2000")
@@ -247,6 +249,36 @@ class TestCliGolden:
         assert self.digest(out_path.read_bytes()) == file_sha
         assert self.digest(out) == (
             "75c10381a57320dee8f765e344adb9dccee76d6e40df2998f8d8fe6a4764d78a")
+
+    EDGE = ("--n", "2,3,5", "--k", "2,4", "--delta-grid", "0:1:0.125",
+            "--format", "json-lines")
+
+    @pytest.mark.parametrize("args, out_sha", [
+        (("bounds", "--n", "1", "--k", "3", "--delta-grid", "0:3:0.5"),
+         "ecad43e2e80cc5e255e52eb2b75beddb166d2b8f3d0dcd78ca5b9ed2c145e058"),
+        (("sweep", *EDGE, "--eps", "inf"),
+         "4744a68da467bc2b6a3cf716d1260572685f2d965c3034872607c92877377b2d"),
+        (("sweep", *EDGE, "--eps", "50"),
+         "544bfac1b23e0639bd94653f21797db9c74adcd8531f3d4b998f13fbdab4f396"),
+        (("sweep", *EDGE, "--eps", "49.9"),
+         "a19614b81a54e73ed5f1282352bf8d42c08b71de36f5d8ca22025f6bbce29ebe"),
+    ], ids=["bounds-single-server", "sweep-eps-inf", "sweep-eps-cap",
+            "sweep-eps-below-cap"])
+    def test_bounds_stdout(self, capsys, args, out_sha):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert self.digest(out) == out_sha
+
+    def test_audit_sweep_file(self, capsys, tmp_path):
+        """The 46,359-row grid of the benchmark's audit workload."""
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2,3,5", "--k",
+                               "2,3,4", "--eps-grid", "0:5:0.05",
+                               "--delta-grid", "0:1:0.02", "--out",
+                               str(out_path))
+        assert code == 0 and out == ""
+        assert self.digest(out_path.read_bytes()) == (
+            "bce35dfa6bc89dd91704fc75cbef2c09cdddba30424aa678787e7c4de3df74f0")
 
 
 class TestSimulateLargeMessages:

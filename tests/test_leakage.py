@@ -6,6 +6,7 @@ to check in the first place), and the rank oracle is checked against
 the brute-force enumeration in oracle_reference.
 """
 
+import hashlib
 import math
 from unittest import mock
 
@@ -261,6 +262,39 @@ class TestQueryAudit:
         counts = {(0, 0, (1, 0)): 100, (1, 0, (1, 0)): 100}
         res = ratio_audit_from_counts(counts, {0: 1000, 1: 2000}, budget=3.0)
         assert res.max_ratio == pytest.approx(2.0, abs=EXACT)
+
+
+class TestQueryAuditGolden:
+    """sha256 of repr(list(counts.items())), with the max ratio and its
+    half-width, recorded before the audit counted bases in place of query
+    vectors. The digest covers the counts' insertion order, which breaks
+    ties in ratio_audit_from_counts. The K=8 and K=16 rows draw through
+    `_draw_below`'s batched word reads (K-1 >= 7), at N=3 and at N=2;
+    N=2 K=255 is not pinned, since its 510,000 distinct vectors take
+    about 1.3 GB at the 1000-trial minimum."""
+
+    @pytest.mark.parametrize("trials, point, max_ratio, halfwidth, sha", [
+        (100_000, (2, 2, 3, math.log(1.5), 4 / 15), 1.5012989608313347,
+         0.03581600697648518,
+         "fadd46d9c40a6555fe9afd2e70897436d416aa2b5a1033166b165cc91824a0a3"),
+        (10_000, (3, 3, 4, 0.5, 0.1), 2.0446735395189, 0.4301299469744873,
+         "ec681c153b3fc3cecbb2b655ecb3bb5f4924e8aa3f750b7833d0dd433e098408"),
+        (1000, (3, 8, 4, 0.5, 0.1), 4.0, 13.405670442018184,
+         "b2452d3ac492f0c32872239e877684629ea084d12d59ce08ac31435bec2cee34"),
+        (1000, (2, 16, 4, 0.5, 0.5), 2.0, 7.343568614781236,
+         "0fc9a0e645ba41cc64b4ebe087b9f21c5f16555d9d9eaef4efb6c36010f6bfa7"),
+        (10_000, (5, 4, 4, math.inf, 0.0), 1.0860103626943005,
+         0.09187612729220031,
+         "7904cb4026e6921501d21235844d82ffd3e32709a39ea0196226db996f354423"),
+        (1000, (2, 2, 2, 0.0, 0.0), 1.1101694915254239, 0.25914014270895447,
+         "35ba29c2c80570ea4f627be34e3f451f864c7161ca1acfd96c9b9f26f42dc3c4"),
+    ], ids=["worked", "n3-k3", "n3-k8", "n2-k16", "eps-inf", "eps-zero"])
+    def test_digest(self, trials, point, max_ratio, halfwidth, sha):
+        res = empirical_query_audit(trials, SystemParams(*point), seed=1)
+        digest = hashlib.sha256(
+            repr(list(res.counts.items())).encode()).hexdigest()
+        assert (digest, res.max_ratio, res.halfwidth) == (
+            sha, max_ratio, halfwidth)
 
 
 class TestCostAudit:

@@ -1,0 +1,38 @@
+"""The verify suite's own checks: they pass on the real scheme and fail
+when the scheme is broken."""
+
+from alpir import BitString, selfcheck
+from alpir.scheme import Answer
+
+# One store of the first exhaustive instance (N=2 K=2 L=2, no key) and
+# one query it answers.
+FAULTY_MESSAGES = (BitString(1, 2), BitString(2, 2))
+FAULTY_QUERY = (1, 0)
+
+
+def test_exhaustive_check_passes_with_every_decode():
+    name, ok, detail = selfcheck.check_exhaustive_correctness()
+    assert (name, ok) == ("exhaustive-correctness", True)
+    assert detail == "32640 decodes, zero errors"
+
+
+def test_exhaustive_check_catches_one_wrong_answer(monkeypatch):
+    """Flip one open bit of one answer to one query vector on one store:
+    every session that reads it must be decoded through that answer."""
+    real_answer = selfcheck.answer
+    flips = []
+
+    def faulty_answer(store, layout, query):
+        ans = real_answer(store, layout, query)
+        if (store.key.nbits == 0 and store.messages == FAULTY_MESSAGES
+                and query.indices == FAULTY_QUERY):
+            flips.append(query)
+            return Answer(ans.masked,
+                          ans.open ^ BitString(1, ans.open.nbits))
+        return ans
+
+    monkeypatch.setattr(selfcheck, "answer", faulty_answer)
+    name, ok, detail = selfcheck.check_exhaustive_correctness()
+    assert flips
+    assert not ok
+    assert detail.startswith("wrong decode at n=2 k=2 l=2 s=0 ")
