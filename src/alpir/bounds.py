@@ -13,7 +13,9 @@ the cost falls linearly in delta and the databases must share a key of
 alpha1 (resp. alpha2) L bits that the user never sees.
 
 All functions take a SystemParams and treat eps at or above its cap as
-infinite, evaluating exact limits instead of overflowing.
+infinite, evaluating exact limits there. Every closed form is written
+once, in the one evaluator `_forms`: the single-value functions read
+their value from it, and `bounds_report` calls it once per point.
 """
 
 from __future__ import annotations
@@ -37,18 +39,40 @@ def _require_multi_db(params: SystemParams) -> None:
         )
 
 
+def _forms(params: SystemParams, converse: bool = True) -> tuple:
+    """(delta1, alpha1, d_upper, delta2, alpha2, d_lower) at one point.
+
+    Each closed form is written and evaluated once. converse=False
+    returns the first three only and skips F^(K-1), so the achievable
+    side stays finite where F^(K-1) overflows.
+    """
+    _require_multi_db(params)
+    n, k, delta = params.n_databases, params.n_messages, params.delta
+    e = params.exp_eps()
+    if math.isinf(e):
+        return (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+    m = n ** (k - 1)
+    d1 = (m - 1) / ((n - 1) * (e + m - 1))
+    upper = (d1, 0.0, 1.0 + d1) if delta >= d1 else (
+        d1, max(0.0, 1.0 / (n - 1) - delta * (e + m - 1) / (m - 1)),
+        1.0 + 1.0 / (n - 1) - delta * e / (m - 1))
+    if not converse:
+        return upper
+    f = n * e
+    fk = f ** (k - 1)
+    d2 = (fk - 1) / ((f - 1) * fk)
+    return upper + ((d2, 0.0, 1.0 + d2) if delta >= d2 else (
+        d2, max(0.0, 1.0 / (f - 1) - delta * fk / (fk - 1)),
+        1.0 + 1.0 / (f - 1) - delta / (fk - 1)))
+
+
 def delta1_threshold(params: SystemParams) -> float:
     """Smallest delta at which the achievable scheme needs no shared key.
 
     Equals (N^(K-1) - 1) / ((N-1) (e^eps + N^(K-1) - 1)); decreasing in
     eps, 0 in the eps -> infinity limit.
     """
-    _require_multi_db(params)
-    n, m = params.n_databases, params.n_databases ** (params.n_messages - 1)
-    e = params.exp_eps()
-    if math.isinf(e):
-        return 0.0
-    return (m - 1) / ((n - 1) * (e + m - 1))
+    return _forms(params, converse=False)[0]
 
 
 def delta2_threshold(params: SystemParams) -> float:
@@ -57,13 +81,7 @@ def delta2_threshold(params: SystemParams) -> float:
     Equals (F^(K-1) - 1) / ((F - 1) F^(K-1)) with F = N e^eps; never
     exceeds delta1_threshold.
     """
-    _require_multi_db(params)
-    e = params.exp_eps()
-    if math.isinf(e):
-        return 0.0
-    f = params.n_databases * e
-    fk = f ** (params.n_messages - 1)
-    return (fk - 1) / ((f - 1) * fk)
+    return _forms(params)[3]
 
 
 def alpha1_rate(params: SystemParams) -> float:
@@ -73,27 +91,12 @@ def alpha1_rate(params: SystemParams) -> float:
     exactly zero for delta >= delta1_threshold, and zero for all delta in
     the eps -> infinity limit.
     """
-    _require_multi_db(params)
-    e = params.exp_eps()
-    if math.isinf(e):
-        return 0.0
-    if params.delta >= delta1_threshold(params):
-        return 0.0
-    n, m = params.n_databases, params.n_databases ** (params.n_messages - 1)
-    return max(0.0, 1.0 / (n - 1) - params.delta * (e + m - 1) / (m - 1))
+    return _forms(params, converse=False)[1]
 
 
 def alpha2_rate(params: SystemParams) -> float:
     """Converse lower bound on the shared-key rate; <= alpha1_rate."""
-    _require_multi_db(params)
-    e = params.exp_eps()
-    if math.isinf(e):
-        return 0.0
-    if params.delta >= delta2_threshold(params):
-        return 0.0
-    f = params.n_databases * e
-    fk = f ** (params.n_messages - 1)
-    return max(0.0, 1.0 / (f - 1) - params.delta * fk / (fk - 1))
+    return _forms(params)[4]
 
 
 def d_upper(params: SystemParams) -> float:
@@ -102,13 +105,7 @@ def d_upper(params: SystemParams) -> float:
     1 + 1/(N-1) - delta e^eps/(N^(K-1) - 1) for delta below
     delta1_threshold; flat at 1 + delta1_threshold beyond it.
     """
-    _require_multi_db(params)
-    n, m = params.n_databases, params.n_databases ** (params.n_messages - 1)
-    e = params.exp_eps()
-    d1 = delta1_threshold(params)
-    if params.delta >= d1:
-        return 1.0 + d1
-    return 1.0 + 1.0 / (n - 1) - params.delta * e / (m - 1)
+    return _forms(params, converse=False)[2]
 
 
 def d_lower(params: SystemParams) -> float:
@@ -117,14 +114,7 @@ def d_lower(params: SystemParams) -> float:
     1 + 1/(F-1) - delta/(F^(K-1) - 1) with F = N e^eps for delta below
     delta2_threshold; flat at 1 + delta2_threshold beyond it.
     """
-    _require_multi_db(params)
-    e = params.exp_eps()
-    d2 = delta2_threshold(params)
-    if params.delta >= d2:
-        return 1.0 + d2
-    f = params.n_databases * e
-    fk = f ** (params.n_messages - 1)
-    return 1.0 + 1.0 / (f - 1) - params.delta / (fk - 1)
+    return _forms(params)[5]
 
 
 def gap_ratio(params: SystemParams) -> tuple[float, float]:
@@ -133,11 +123,13 @@ def gap_ratio(params: SystemParams) -> tuple[float, float]:
     The ratio never exceeds the cap and equals 1 at eps = 0, where the
     two bounds coincide for every delta.
     """
-    _require_multi_db(params)
-    n = params.n_databases
+    _, _, upper, _, _, lower = _forms(params)
+    return upper / lower, _gap_cap(params)
+
+
+def _gap_cap(params: SystemParams) -> float:
     inv_e = 0.0 if params.eps_unbounded else math.exp(-params.eps)
-    cap = (n - inv_e) / (n - 1)
-    return d_upper(params) / d_lower(params), cap
+    return (params.n_databases - inv_e) / (params.n_databases - 1)
 
 
 @dataclass(frozen=True)
@@ -187,24 +179,30 @@ def classify_regime(params: SystemParams) -> RegimeInfo:
     agree); delta at or past the threshold with eps > 0 is user-side-only
     leakage (L-PIR); unbounded eps with delta = 0 needs no protocol at all.
     """
+    return _regime(params, None)
+
+
+def _regime(params: SystemParams, d1: Optional[float]) -> RegimeInfo:
+    """classify_regime, reusing delta1 when the caller already has it."""
     _require_multi_db(params)
     n, k = params.n_databases, params.n_messages
-    m = n ** (k - 1)
     if params.eps_unbounded:
         if params.delta == 0.0:
             return RegimeInfo(Regime.NO_PRIVACY, 1.0)
-        return RegimeInfo(Regime.L_PIR, 1.0 + delta1_threshold(params))
+        return RegimeInfo(Regime.L_PIR, 1.0)
+    if params.eps == 0.0 and params.delta == 0.0:
+        return RegimeInfo(Regime.SPIR, n / (n - 1))
+    if d1 is None:
+        d1 = delta1_threshold(params)
     if params.eps == 0.0:
-        if params.delta == 0.0:
-            return RegimeInfo(Regime.SPIR, n / (n - 1))
-        pir_delta = delta1_threshold(params)
-        if math.isclose(params.delta, pir_delta, rel_tol=REL_TOL):
+        if math.isclose(params.delta, d1, rel_tol=REL_TOL):
             return RegimeInfo(Regime.PIR, sum(n ** -j for j in range(k)))
-        if params.delta < pir_delta:
-            return RegimeInfo(Regime.LEAKY_DB, n / (n - 1) - params.delta / (m - 1))
+        if params.delta < d1:
+            return RegimeInfo(Regime.LEAKY_DB,
+                              n / (n - 1) - params.delta / (n ** (k - 1) - 1))
         return RegimeInfo(Regime.GENERAL, None)
-    if params.delta >= delta1_threshold(params):
-        return RegimeInfo(Regime.L_PIR, 1.0 + delta1_threshold(params))
+    if params.delta >= d1:
+        return RegimeInfo(Regime.L_PIR, 1.0 + d1)
     return RegimeInfo(Regime.GENERAL, None)
 
 
@@ -244,18 +242,18 @@ class BoundsReport:
 
 
 def bounds_report(params: SystemParams) -> BoundsReport:
-    ratio, cap = gap_ratio(params)
-    info = classify_regime(params)
+    d1, a1, upper, d2, a2, lower = _forms(params)
+    info = _regime(params, d1)
     return BoundsReport(
         params=params,
-        d_upper=d_upper(params),
-        d_lower=d_lower(params),
-        alpha1=alpha1_rate(params),
-        alpha2=alpha2_rate(params),
-        delta1=delta1_threshold(params),
-        delta2=delta2_threshold(params),
-        gap_ratio=ratio,
-        gap_cap=cap,
+        d_upper=upper,
+        d_lower=lower,
+        alpha1=a1,
+        alpha2=a2,
+        delta1=d1,
+        delta2=d2,
+        gap_ratio=upper / lower,
+        gap_cap=_gap_cap(params),
         regime=info.regime,
         reference_cost=info.reference_cost,
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -255,19 +255,27 @@ def ratio_audit_from_counts(counts: dict, trials_per_message,
 
 def empirical_query_audit(trials: int, params: SystemParams,
                           seed: int) -> QueryAuditResult:
-    """Sample query structures per desired index and audit the ratio law."""
+    """Sample query structures per desired index and audit the ratio law.
+
+    At a fixed desired index each database's query vector is a bijection
+    of the base, so the sampled bases are counted, in first-seen order,
+    and `make_queries` runs once per distinct base. The counts and their
+    insertion order are those of counting every session's vectors.
+    """
     if trials < MIN_AUDIT_TRIALS:
         raise ValueError(f"need at least {MIN_AUDIT_TRIALS} trials")
     dist = path_distribution(params)
-    counts = defaultdict(int)
+    counts = {}
     for desired in range(params.n_messages):
         rng = derived_rng(seed, "query-audit", desired)
-        for _ in range(trials):
-            choice = sample_path(dist, desired, rng)
+        bases = Counter(sample_path(dist, desired, rng).base
+                        for _ in range(trials))
+        for base, c in bases.items():
+            choice = PathChoice(base, desired, classify_base(base, desired))
             for db, qv in enumerate(make_queries(choice, params)):
-                counts[(desired, db, qv.indices)] += 1
+                counts[(desired, db, qv.indices)] = c
     budget = analytic_user_ratio(dist)
-    return ratio_audit_from_counts(dict(counts), trials, budget)
+    return ratio_audit_from_counts(counts, trials, budget)
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,11 @@ def test_c05_threshold_ordering_and_continuity():
 
 
 def test_c06_exhaustive_decoding_of_small_instances():
-    """Every message value, key, base and target decodes exactly."""
+    """Every message value, key, base and target decodes exactly.
+
+    The independent reference for selfcheck.check_exhaustive_correctness:
+    it answers every query of every session afresh, where the check
+    answers each distinct query vector once per store."""
     start = time.perf_counter()
     checked = 0
     for n, k, l, key_sizes in ((2, 2, 2, (0, 1)), (3, 2, 4, (0, 1, 2))):
