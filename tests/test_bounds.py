@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
                    bounds_report, classify_regime, d_lower, d_upper,
                    delta1_threshold, delta2_threshold, gap_ratio,
-                   single_server_cost)
+                   plan_partition, single_server_cost)
 
 EXACT = 1e-12
 
@@ -369,6 +369,14 @@ class TestReportMatchesSingleValues:
         assert (report.gap_ratio, report.gap_cap) == gap
         assert (report.regime, report.reference_cost) == (
             regime.regime, regime.reference_cost)
+
+    def test_achievable_side_finite_where_converse_overflows(self):
+        """F^(K-1) overflows at N=7 K=40 eps=49.9; the achievable side,
+        which plan_partition reads, must not evaluate it."""
+        p = params(7, 40, 49.9, 0.0)
+        for fn in (delta1_threshold, alpha1_rate, d_upper):
+            assert math.isfinite(fn(p)), fn.__name__
+        assert plan_partition(p).key_bits == 4  # alpha1 = 1/(N-1), L = 24
 
     def test_edge_points_pinned(self):
         """sha256 of every report at the grid shapes, eps on both sides of
