@@ -16,7 +16,7 @@ import time
 import pytest
 
 from alpir import (Answer, BitString, MessageStore, PathClass, QueryVector,
-                   SystemParams, answer, derived_rng, empirical_cost_audit,
+                   SystemParams, answer, bits, derived_rng, empirical_cost_audit,
                    make_queries, path_distribution, plan_partition,
                    sample_path)
 from alpir.netsim import (CSV_HEADER, ERR_BAD_QUERY, MSG_ANSWER, MSG_ERROR,
@@ -495,6 +495,43 @@ class TestSessionFaults:
         with deployment(WORKED, WORKED_LAYOUT, store) as conns:
             with pytest.raises(SessionError, match="deadline"):
                 retrieve(WORKED, WORKED_LAYOUT, 0, conns, random.Random(0))
+
+
+def stalling_server(db_index, store, layout, conn):
+    """A serve_connection stand-in that greets, then sends only the first
+    half of each Answer frame and waits for the next query."""
+    try:
+        while (frame := read_frame(conn)) is not None:
+            if frame.msg_type == MSG_HELLO:
+                conn.send(encode_hello())
+                continue
+            sid, indices = decode_query(frame.payload)
+            raw = encode_answer(sid, answer(store, layout,
+                                            QueryVector(indices)))
+            conn.send(raw[:len(raw) // 2])
+    except OSError:
+        return
+    finally:
+        conn.close()
+
+
+class TestStalledWideBody:
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    def test_stall_mid_body_fails_retrieve(self, monkeypatch,
+                                           transport_name):
+        """A server that stops halfway through a wide answer's body makes
+        retrieve raise SessionError at the read deadline, not hang."""
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.2)
+        monkeypatch.setattr(sim, "serve_connection", stalling_server)
+        params = SystemParams(2, 4, 1 << 17, 0.5, 0.1)
+        layout = plan_partition(params)
+        assert layout.key_bits >= 8 * bits._PACKED_MIN_BYTES
+        store = provision(params, layout, derived_rng(1, "store"))
+        t = time.perf_counter()
+        with deployment(params, layout, store, transport_name) as conns:
+            with pytest.raises(SessionError, match="deadline"):
+                retrieve(params, layout, 0, conns, random.Random(0))
+        assert time.perf_counter() - t < 1.5
 
 
 class TestChannelConnection:

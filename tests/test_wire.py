@@ -2,6 +2,7 @@
 
 import random
 import struct
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -15,7 +16,8 @@ from alpir.netsim import (MAX_FRAME_BYTES, MSG_ANSWER, MSG_ERROR, MSG_HELLO,
                           decode_answer, decode_error, decode_hello,
                           decode_query, encode_answer, encode_error,
                           encode_frame, encode_hello, encode_query,
-                          memory_pair, parse_frame, read_frame)
+                          memory_pair, parse_frame, read_frame,
+                          serve_connection)
 from alpir.netsim.wire import answer_frame_bytes, query_frame_bytes
 
 
@@ -95,6 +97,31 @@ class TestFraming:
                 read_frame(Trickle(raw[:cut]))
 
 
+    @pytest.mark.parametrize("conn", ["recv", "recv_into"])
+    def test_read_wide_frame_byte_at_a_time(self, conn):
+        """A wide frame arriving one byte per call reads whole, whether the
+        connection has only recv or also recv_into; an end of stream in
+        its body raises WireError, and a dirty pad bit in either part is
+        still rejected on decode."""
+        fake = Trickle if conn == "recv" else TrickleInto
+        wide = 8 * bits._PACKED_MIN_BYTES + 5
+        ans = Answer(BitString((1 << wide) - 3, wide),
+                     BitString((1 << (wide + 6)) // 3, wide + 6))
+        raw = encode_answer(11, ans)
+        whole = read_frame(fake(raw))
+        assert whole.msg_type == MSG_ANSWER
+        assert decode_answer(whole.payload) == (11, ans)
+        for cut in (6, 17 + (wide + 7) // 8, len(raw) // 2, len(raw) - 1):
+            with pytest.raises(WireError, match="mid-frame"):
+                read_frame(fake(raw[:cut]))
+        for end in (17 + (wide + 7) // 8, len(raw)):
+            dirty = bytearray(raw)
+            dirty[end - 1] |= 0x01
+            frame = read_frame(fake(bytes(dirty)))
+            with pytest.raises(WireError, match="padding"):
+                decode_answer(frame.payload)
+
+
 class Trickle:
     """A connection that returns one byte per recv, then end of stream."""
 
@@ -105,6 +132,15 @@ class Trickle:
         out = self._data[self._at:self._at + 1]
         self._at += len(out)
         return out
+
+
+class TrickleInto(Trickle):
+    """A Trickle whose recv_into also fills one byte per call."""
+
+    def recv_into(self, buffer) -> int:
+        out = self.recv(1)
+        buffer[:len(out)] = out
+        return len(out)
 
 
 class TestCodecs:
@@ -269,3 +305,46 @@ class TestAnswerFold:
                 assert got == int_answer_frame(9, store, layout, indices)
                 sid, back = decode_answer(parse_frame(got).payload)
                 assert back == answer(store, layout, QueryVector(indices))
+
+    @pytest.mark.parametrize("crossover", [1, bits._PACKED_MIN_BYTES])
+    @given(st.integers(2, 3), st.integers(2, 4), sub_widths, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_served_frames_match_int_fold(self, crossover, n, k, per_sub,
+                                          data):
+        """Every byte serve_connection sends is an int fold's Answer
+        frame: wide and narrow parts, any alignment, key width 0, open
+        width 0 and the all-zero query."""
+        key_bits = data.draw(st.one_of(st.just(0), st.just(per_sub),
+                                       st.integers(0, per_sub)))
+        params = SystemParams(n, k, per_sub * (n - 1), 0.5, 0.1)
+        layout = layout_for_key_bits(params, key_bits)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        queries = [(0,) * k, (n - 1,) * k] + [
+            tuple(rng.randrange(n) for _ in range(k)) for _ in range(3)]
+        with packed_from(crossover):
+            store = MessageStore.random(params, layout, rng)
+            client, server = memory_pair()
+            thread = threading.Thread(target=serve_connection,
+                                      args=(0, store, layout, server))
+            thread.start()
+            try:
+                for sid, indices in enumerate(queries):
+                    client.send(encode_query(sid, indices))
+                for sid, indices in enumerate(queries):
+                    want = int_answer_frame(sid, store, layout, indices)
+                    assert recv_exactly(client, len(want)) == want
+            finally:
+                client.close()
+                thread.join(5)
+        assert not thread.is_alive()
+        assert client.recv(1) == b""
+
+
+def recv_exactly(conn, n: int) -> bytes:
+    """n bytes off a connection, however they are chunked."""
+    out = b""
+    while len(out) < n:
+        chunk = conn.recv(n - len(out))
+        assert chunk, "stream ended early"
+        out += bytes(chunk)
+    return out
