@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from .. import bits
 from ..bits import BitString
 from ..params import SystemParams
 from ..scheme import (MessageStore, PartitionLayout, PathClass,
@@ -67,7 +68,13 @@ def serve_connection(db_index: int, store: MessageStore,
     Error frame and a hangup; bad-but-framed requests draw an Error frame
     and the connection continues. A client that hangs up with answers
     still queued (a pipelined run that failed) ends the connection too.
+
+    A layout with a part BitString keeps packed has each answer folded
+    straight into its frame (wire.answer_frame); narrower answers are
+    folded as ints and encoded by wire.encode_answer.
     """
+    in_frame = (max(layout.key_bits, layout.open_subpacket_bits) + 7
+                >> 3 >= bits._PACKED_MIN_BYTES)
     try:
         while True:
             try:
@@ -91,12 +98,17 @@ def serve_connection(db_index: int, store: MessageStore,
                     conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                     continue
                 try:
-                    ans = answer(store, layout, QueryVector(indices))
+                    if in_frame:
+                        data = wire.answer_frame(session_id, store, layout,
+                                                 QueryVector(indices))
+                    else:
+                        data = wire.encode_answer(session_id, answer(
+                            store, layout, QueryVector(indices)))
                 except ValueError:
                     conn.send(wire.encode_error(
                         wire.ERR_BAD_QUERY, "query vector out of range"))
                     continue
-                conn.send(wire.encode_answer(session_id, ans))
+                conn.send(data)
             else:
                 conn.send(wire.encode_error(
                     wire.ERR_UNKNOWN_TYPE,

@@ -1,8 +1,8 @@
 """Byte-stream transports: an in-process channel and localhost TCP.
 
-Both expose the same minimal blocking interface (send / recv / close), so
-the protocol layer cannot tell them apart; runs over either must produce
-identical session records.
+Both expose the same minimal blocking interface (send / recv /
+recv_into / close), so the protocol layer cannot tell them apart; runs
+over either must produce identical session records.
 
 Client ends (the first end of `memory_pair`, and `tcp_connect`) give up a
 read after READ_DEADLINE_S seconds without data and raise TimeoutError, so
@@ -38,9 +38,9 @@ class ChannelConnection:
             raise OSError("connection closed")
         self._outbox.put(bytes(data))
 
-    def recv(self, max_n: int) -> bytes:
-        if max_n <= 0:
-            raise ValueError("max_n must be positive")
+    def _fill(self) -> None:
+        """Wait until the current chunk has unread bytes or the stream
+        has ended."""
         while self._offset == len(self._chunk) and not self._eof:
             try:
                 chunk = self._inbox.get(timeout=self._timeout)
@@ -50,11 +50,31 @@ class ChannelConnection:
                 self._eof = True
             else:
                 self._chunk, self._offset = chunk, 0
+
+    def recv(self, max_n: int) -> bytes:
+        if max_n <= 0:
+            raise ValueError("max_n must be positive")
+        if self._offset == len(self._chunk):
+            self._fill()
         start, chunk = self._offset, self._chunk
         self._offset = min(start + max_n, len(chunk))
         if start == 0 and self._offset == len(chunk):
             return chunk
         return chunk[start:self._offset]
+
+    def recv_into(self, buffer) -> int:
+        """Copy up to len(buffer) bytes into buffer, as recv would return
+        them; 0 at end of stream."""
+        view = memoryview(buffer).cast("B")
+        if not view:
+            raise ValueError("buffer must not be empty")
+        if self._offset == len(self._chunk):
+            self._fill()
+        start = self._offset
+        self._offset = min(start + len(view), len(self._chunk))
+        view[:self._offset - start] = memoryview(self._chunk)[
+            start:self._offset]
+        return self._offset - start
 
     def close(self) -> None:
         if not self._closed:
@@ -83,6 +103,12 @@ class SocketConnection:
         try:
             return self._sock.recv(max_n)
         except BlockingIOError:  # SO_RCVTIMEO expired on a blocking socket
+            raise TimeoutError("read deadline passed") from None
+
+    def recv_into(self, buffer) -> int:
+        try:
+            return self._sock.recv_into(buffer)
+        except BlockingIOError:
             raise TimeoutError("read deadline passed") from None
 
     def close(self) -> None:

@@ -19,11 +19,16 @@ bytes; the explicit bit lengths make the padding unambiguous, and
 decoders reject nonzero padding. Anything undecodable raises WireError,
 which servers convert to an Error frame.
 
-Large answers are never copied part by part: read_frame's payload is a
-memoryview of the received body, decode_answer hands BitString views of
-it, and encode_answer writes each part's packed bytes straight into the
-one frame buffer. Frames too small to hold a part that BitString keeps
-packed get a bytes payload, which is cheaper to make and to slice.
+A large answer lives in one buffer on each side of the wire. The server
+allocates its frame once, uninitialised, and answer_frame has
+scheme.answer fold the parts straight into the frame's body around the
+headers written here. The client's read_frame reads a body of at least
+bits._PACKED_MIN_BYTES into one buffer with the connection's recv_into
+(connections with only recv get their chunks joined), its payload is a
+read-only memoryview of that buffer, and decode_answer hands out
+BitString views of it. Smaller frames are read with recv into a bytes
+payload, which is cheaper to make and to slice, and their answers are
+built by encode_answer.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import bits
 from ..bits import BitString
-from ..scheme import Answer
+from ..scheme import Answer, answer
 
 MSG_HELLO = 0x01
 MSG_QUERY = 0x02
@@ -86,10 +93,22 @@ def read_frame(conn) -> WireFrame | None:
     (length,) = struct.unpack(">I", header)
     if length < 1 or length > MAX_FRAME_BYTES:
         raise WireError("bad frame length")
-    body = _read_exact(conn, length, allow_eof=False)
     if length < bits._PACKED_MIN_BYTES:
+        body = _read_exact(conn, length, allow_eof=False)
         return WireFrame(body[0], body[1:])
-    return WireFrame(body[0], memoryview(body)[1:])
+    recv_into = getattr(conn, "recv_into", None)
+    if recv_into is None:
+        body = memoryview(_read_exact(conn, length, allow_eof=False))
+    else:
+        body = memoryview(np.empty(length, np.uint8))
+        got = 0
+        while got < length:
+            n = recv_into(body[got:])
+            if not n:
+                raise WireError("stream ended mid-frame")
+            got += n
+        body = body.toreadonly()
+    return WireFrame(body[0], body[1:])
 
 
 def _read_exact(conn, n: int, allow_eof: bool):
@@ -172,6 +191,32 @@ def encode_answer(session_id: int, ans: Answer) -> bytes:
 def answer_frame_bytes(masked_bits: int, open_bits: int) -> int:
     """Length of an encoded Answer frame with parts of these bit widths."""
     return 5 + 8 + 4 + (masked_bits + 7) // 8 + 4 + (open_bits + 7) // 8
+
+
+def answer_frame(session_id: int, store, layout, query) -> np.ndarray:
+    """The Answer frame of scheme.answer(store, layout, query), with the
+    parts folded straight into its body: one uninitialised buffer whose
+    every byte is written once. Byte-identical to
+    encode_answer(session_id, answer(...)), and raises what they raise.
+    """
+    if not 0 <= session_id < 1 << 64:
+        raise ValueError("session_id out of range")
+    frame = None
+
+    def body(masked_bits: int, open_bits: int):
+        nonlocal frame
+        length = answer_frame_bytes(masked_bits, open_bits)
+        if length - 4 > MAX_FRAME_BYTES:
+            raise WireError("frame too large")
+        frame = np.empty(length, np.uint8)
+        at = 17 + (masked_bits + 7) // 8
+        struct.pack_into(">IBQI", frame, 0, length - 4, MSG_ANSWER,
+                         session_id, masked_bits)
+        struct.pack_into(">I", frame, at, open_bits)
+        return frame[17:at], frame[at + 4:]
+
+    answer(store, layout, query, body)
+    return frame
 
 
 def decode_answer(payload: bytes) -> tuple[int, Answer]:

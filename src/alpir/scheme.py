@@ -30,6 +30,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bits import BitString
 from .bounds import alpha1_rate
 from .params import SystemParams
@@ -299,12 +301,19 @@ class Answer:
 
 
 def answer(store: MessageStore, layout: PartitionLayout,
-           query: QueryVector) -> Answer:
+           query: QueryVector, into=None) -> Answer:
     """Evaluate one query against the store.
 
     The masked part always carries the key, so it is s bits even for the
     all-zero query; the open part is empty exactly when every index is 0
     (for layouts with a nonzero open width).
+
+    `into` lets the caller choose where the parts land. Once the query is
+    validated, `into(masked_bits, open_bits)` returns two writable uint8
+    arrays of the parts' packed byte lengths, and each part is written
+    into its array and returned as a view of it. A wide part is folded
+    there by numpy: the first XOR writes every byte, so the arrays need
+    not be zeroed. A narrow part is folded as an int, then copied in.
     """
     indices = query.indices
     if len(indices) != len(store.messages):
@@ -313,17 +322,42 @@ def answer(store: MessageStore, layout: PartitionLayout,
     if min(indices, default=0) < 0 or top > layout.subpackets_per_part:
         raise ValueError("query index out of range")
     key, rows = store.subpacket_table(layout)
-    # `0 ^ key` keeps the in-place XORs out of the table (see
-    # BitString._operand).
-    masked, open_ = 0 ^ key, 0
-    for row, v in zip(rows, indices):
-        if v:
-            m, o = row[v - 1]
-            masked ^= m
-            open_ ^= o
-    return Answer(BitString._of_operand(masked, store.key.nbits),
-                  BitString._of_operand(
-                      open_, layout.open_subpacket_bits if top else 0))
+    if into is None:
+        # `0 ^ key` keeps the in-place XORs out of the table (see
+        # BitString._operand).
+        masked, open_ = 0 ^ key, 0
+        for row, v in zip(rows, indices):
+            if v:
+                m, o = row[v - 1]
+                masked ^= m
+                open_ ^= o
+        return Answer(BitString._of_operand(masked, store.key.nbits),
+                      BitString._of_operand(
+                          open_, layout.open_subpacket_bits if top else 0))
+    widths = (store.key.nbits, layout.open_subpacket_bits if top else 0)
+    picked = [row[v - 1] for row, v in zip(rows, indices) if v]
+    parts = []
+    for operands, out, nbits in zip(
+            ([key] + [m for m, _ in picked], [o for _, o in picked]),
+            into(*widths), widths):
+        if not nbits:
+            part = BitString(0, 0)
+        elif type(operands[0]) is int:
+            value = 0
+            for x in operands:
+                value ^= x
+            part = BitString(value, nbits)
+            out[:] = part._array()
+        else:
+            if len(operands) == 1:
+                out[:] = operands[0]
+            else:
+                np.bitwise_xor(operands[0], operands[1], out=out)
+                for x in operands[2:]:
+                    out ^= x
+            part = BitString._of_packed(out, nbits)
+        parts.append(part)
+    return Answer(*parts)
 
 
 def _desired_zero_index(queries: Sequence[QueryVector], desired: int) -> dict:

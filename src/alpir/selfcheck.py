@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import bounds as bnd
 from .bits import BitString
-from .leakage import (analytic_db_leakage, db_leak_audit,
+from .leakage import (ORACLE_CALL_CAP, analytic_db_leakage, db_leak_audit,
                       db_leak_budget_bits, exact_mi_oracle, message_space)
 from .params import SystemParams
 from .scheme import (MessageStore, PathChoice, answer, classify_base,
@@ -239,7 +239,8 @@ def check_point(params: SystemParams) -> tuple[str, bool, str]:
     leak = db_leak_audit(params, plan_partition(params))
     detail = f"analytic={leak.analytic_bits:.6g} budget={leak.budget_bits:.6g}"
     if leak.exact_bits is None:
-        detail += " (oracle skipped: state space too large)"
+        detail += (" (oracle skipped: over ORACLE_CALL_CAP = "
+                   f"{ORACLE_CALL_CAP} answer calls)")
     else:
         detail = f"oracle={leak.exact_bits:.6g} {detail}"
     return ("point-leakage", leak.ok, detail)

@@ -545,6 +545,29 @@ class TestChannelConnection:
         assert client.recv(8) == b""
         assert client.recv(8) == b""
 
+    def test_recv_into_across_and_within_chunks(self):
+        client, server = memory_pair()
+        for chunk in (b"abcdef", b"", b"gh", b"ijklmnop"):
+            server.send(chunk)
+        server.close()
+        got = []
+        for n in (4, 100, 1, 1, 3, 64):
+            buf = bytearray(n)
+            got.append(bytes(buf[:client.recv_into(buf)]))
+        assert got == [b"abcd", b"ef", b"g", b"h", b"ijk", b"lmnop"]
+        assert client.recv_into(bytearray(8)) == 0
+        assert client.recv_into(bytearray(8)) == 0
+        with pytest.raises(ValueError):
+            client.recv_into(bytearray())
+
+    def test_recv_and_recv_into_share_the_stream(self):
+        client, server = memory_pair()
+        server.send(b"abcdefgh")
+        buf = bytearray(3)
+        assert client.recv(2) == b"ab"
+        assert client.recv_into(buf) == 3 and buf == b"cde"
+        assert client.recv(8) == b"fgh"
+
 
 class TestReadDeadline:
     def test_memory_client_end_times_out(self, monkeypatch):
@@ -566,6 +589,31 @@ class TestReadDeadline:
                 client.recv(4)
             server.send(b"late")
             assert client.recv(4) == b"late"
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    def test_recv_into_times_out(self, monkeypatch, transport_name):
+        """recv_into keeps the client end's read deadline on both
+        transports; over TCP the expired SO_RCVTIMEO is a TimeoutError."""
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.05)
+        if transport_name == "memory":
+            client, server = memory_pair()
+        else:
+            listener = TcpListener()
+            client = tcp_connect(listener.port)
+            server = listener.accept()
+            listener.close()
+        buf = bytearray(4)
+        try:
+            with pytest.raises(TimeoutError):
+                client.recv_into(buf)
+            server.send(b"late")
+            got = 0
+            while got < 4:
+                got += client.recv_into(memoryview(buf)[got:])
+            assert buf == b"late"
         finally:
             client.close()
             server.close()

@@ -1,7 +1,7 @@
 """The verify suite's own checks: they pass on the real scheme and fail
 when the scheme is broken."""
 
-from alpir import BitString, selfcheck
+from alpir import BitString, SystemParams, selfcheck
 from alpir.scheme import Answer
 
 # One store of the first exhaustive instance (N=2 K=2 L=2, no key) and
@@ -36,3 +36,13 @@ def test_exhaustive_check_catches_one_wrong_answer(monkeypatch):
     assert flips
     assert not ok
     assert detail.startswith("wrong decode at n=2 k=2 l=2 s=0 ")
+
+
+def test_point_check_names_the_call_cap():
+    """At N=2 K=255 the rank oracle would need 260,100 answer calls, over
+    its cap; the point check says so and still checks the budget."""
+    name, ok, detail = selfcheck.check_point(
+        SystemParams(2, 255, 40, 0.5, 0.5))
+    assert (name, ok) == ("point-leakage", True)
+    assert detail == ("analytic=20 budget=20 (oracle skipped: over "
+                      "ORACLE_CALL_CAP = 65536 answer calls)")

@@ -5,6 +5,7 @@ import struct
 import threading
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,8 @@ from alpir.netsim import (MAX_FRAME_BYTES, MSG_ANSWER, MSG_ERROR, MSG_HELLO,
                           encode_frame, encode_hello, encode_query,
                           memory_pair, parse_frame, read_frame,
                           serve_connection)
-from alpir.netsim.wire import answer_frame_bytes, query_frame_bytes
+from alpir.netsim.wire import (answer_frame, answer_frame_bytes,
+                               query_frame_bytes)
 
 
 class TestFraming:
@@ -121,6 +123,25 @@ class TestFraming:
             with pytest.raises(WireError, match="padding"):
                 decode_answer(frame.payload)
 
+    def test_wide_bodies_are_read_into_one_buffer(self):
+        """recv_into, where a connection has it, reads wide bodies; the
+        header and narrow frames go through recv, and the payload is a
+        read-only view that BitString keeps uncopied."""
+        wide = 8 * bits._PACKED_MIN_BYTES
+        for nbits in (wide, wide - 160):
+            ans = Answer(BitString(1, nbits), BitString(0, 0))
+            raw = encode_answer(3, ans)
+            conn = CountingTrickle(raw)
+            frame = read_frame(conn)
+            assert decode_answer(frame.payload) == (3, ans)
+            if nbits == wide:
+                assert (conn.recv_calls, conn.into_calls) == (4, len(raw) - 4)
+                assert frame.payload.readonly
+                masked = decode_answer(frame.payload)[1].masked
+                assert masked._buffer().obj is frame.payload.obj
+            else:
+                assert (conn.recv_calls, conn.into_calls) == (len(raw), 0)
+
 
 class Trickle:
     """A connection that returns one byte per recv, then end of stream."""
@@ -141,6 +162,21 @@ class TrickleInto(Trickle):
         out = self.recv(1)
         buffer[:len(out)] = out
         return len(out)
+
+
+class CountingTrickle(TrickleInto):
+    """A TrickleInto that counts the recv and recv_into calls made."""
+
+    recv_calls = into_calls = 0
+
+    def recv(self, max_n: int) -> bytes:
+        self.recv_calls += 1
+        return super().recv(max_n)
+
+    def recv_into(self, buffer) -> int:
+        self.into_calls += 1
+        self.recv_calls -= 1        # TrickleInto reads through recv
+        return super().recv_into(buffer)
 
 
 class TestCodecs:
@@ -338,6 +374,51 @@ class TestAnswerFold:
                 thread.join(5)
         assert not thread.is_alive()
         assert client.recv(1) == b""
+
+    @pytest.mark.parametrize("crossover", [1, bits._PACKED_MIN_BYTES])
+    @given(st.integers(2, 3), st.integers(2, 4), sub_widths, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_answer_frame_matches_int_fold(self, crossover, n, k, per_sub,
+                                           data):
+        """answer_frame is total: narrow and wide layouts alike give the
+        int fold's frame. answer's `into` arrays hold exactly the parts it
+        returns."""
+        key_bits = data.draw(st.one_of(st.just(0), st.just(per_sub),
+                                       st.integers(0, per_sub)))
+        params = SystemParams(n, k, per_sub * (n - 1), 0.5, 0.1)
+        layout = layout_for_key_bits(params, key_bits)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        with packed_from(crossover):
+            store = MessageStore.random(params, layout, rng)
+            for indices in [(0,) * k] + [
+                    tuple(rng.randrange(n) for _ in range(k))
+                    for _ in range(3)]:
+                frame = answer_frame(5, store, layout, QueryVector(indices))
+                assert bytes(frame) == int_answer_frame(5, store, layout,
+                                                        indices)
+                outs = []
+
+                def into(masked_bits, open_bits):
+                    outs.extend(np.empty((b + 7) // 8, np.uint8)
+                                for b in (masked_bits, open_bits))
+                    return outs
+
+                got = answer(store, layout, QueryVector(indices), into)
+                ans = answer(store, layout, QueryVector(indices))
+                assert got == ans
+                assert [bytes(a) for a in outs] == [ans.masked.to_bytes(),
+                                                    ans.open.to_bytes()]
+
+    def test_answer_frame_validates_before_allocating(self):
+        params = SystemParams(2, 2, 16, 0.5, 0.1)
+        layout = layout_for_key_bits(params, 4)
+        store = MessageStore.random(params, layout, random.Random(0))
+        for bad in ((0, 3), (0,)):
+            with pytest.raises(ValueError, match="query"):
+                answer(store, layout, QueryVector(bad),
+                       lambda m, o: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match="session_id"):
+            answer_frame(1 << 64, store, layout, QueryVector((1, 0)))
 
 
 def recv_exactly(conn, n: int) -> bytes:
