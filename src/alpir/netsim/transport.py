@@ -65,7 +65,7 @@ class ChannelConnection:
     def recv_into(self, buffer) -> int:
         """Copy up to len(buffer) bytes into buffer, as recv would return
         them; 0 at end of stream."""
-        view = memoryview(buffer).cast("B")
+        view = memoryview(buffer)
         if not view:
             raise ValueError("buffer must not be empty")
         if self._offset == len(self._chunk):
