@@ -395,3 +395,29 @@ class TestReportMatchesSingleValues:
         assert len(rows) == 270
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "d168585e9c19baec7568f8b0acd8db26650422a3f35379e9cf112ad7d0c79da8")
+
+    # (n, eps, k) at the edge of the double range: for each n and eps, the
+    # largest K at which every report field was still finite when eps had
+    # a cap, and K - 1. Rows where a threshold read 0.0 there, because
+    # (F-1) F^(K-1) or (N-1)(e^eps + N^(K-1) - 1) overflowed, are left out:
+    # their values were wrong.
+    OVERFLOW_EDGE = (
+        (2, 0.0, 1023), (2, 0.0, 1024), (2, 0.5, 594), (2, 0.5, 595),
+        (2, 49.9, 14), (3, 0.0, 646), (3, 0.5, 443), (3, 0.5, 444),
+        (3, 49.9, 13), (7, 0.0, 364), (7, 0.5, 290), (7, 49.9, 13),
+        (256, 0.0, 127), (256, 0.0, 128), (256, 0.5, 117), (256, 49.9, 12))
+
+    def test_overflow_edge_pinned(self):
+        """sha256 of every report on the rows above, at delta = 0 and at
+        each threshold, recorded before the forms were made total."""
+        rows = []
+        for n, eps, k in self.OVERFLOW_EDGE:
+            p0 = params(n, k, eps, 0.0)
+            rows += [bounds_report(params(n, k, eps, d)).to_dict()
+                     for d in (0.0, delta1_threshold(p0),
+                               delta2_threshold(p0))]
+        assert len(rows) == 48
+        assert all(math.isfinite(v) for row in rows for v in row.values()
+                   if isinstance(v, float))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "7e252448c941f7785c53e10d14d9c72eafdc71ccfd45197476af5afe099414bf")
