@@ -16,7 +16,7 @@ from .leakage import (CostAuditResult, LeakageReport, OracleResult,
                       analytic_user_ratio, db_leak_budget_bits,
                       empirical_cost_audit, empirical_query_audit,
                       exact_mi_oracle, leakage_report, ratio_audit_from_counts)
-from .params import DEFAULT_EPS_CAP, SystemParams
+from .params import SystemParams
 from .scheme import (Answer, MessageStore, PartitionLayout, PathChoice,
                      PathClass, PathDistribution, QueryVector, ResidualView,
                      answer, classify_base, decode, expected_cost,

@@ -12,10 +12,10 @@ curve is flat and no shared randomness is required. Below the threshold
 the cost falls linearly in delta and the databases must share a key of
 alpha1 (resp. alpha2) L bits that the user never sees.
 
-All functions take a SystemParams and treat eps at or above its cap as
-infinite, evaluating exact limits there. Every closed form is written
-once, in the one evaluator `_forms`: the single-value functions read
-their value from it, and `bounds_report` calls it once per point.
+All functions take a SystemParams, are finite for every finite eps and
+take exact limits at eps = math.inf. Every closed form is written once,
+in the one evaluator `_forms`: the single-value functions read their
+value from it, and `bounds_report` calls it once per point.
 """
 
 from __future__ import annotations
@@ -30,6 +30,25 @@ from .params import SystemParams
 # Comparison tolerance used for regime classification at the PIR point.
 REL_TOL = 1e-9
 
+# ln 2 = _LN2_HI + _LN2_LO (fdlibm); j * _LN2_HI is exact for |j| < 2^21.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def scaled_terms(eps: float, big: int) -> tuple[int, float, float]:
+    """(s, e^eps / 2^s, 1 / 2^s), s >= 0 the least that keeps e^eps / 2^s and
+    big / 2^s below 2^512 (room for N up to 2^500). s stops at b + 1072, b
+    the bit length of big, where e^eps / 2^s, held at 2^512, outweighs all
+    else and (big - 1) / 2^s is still above 0. Dividing by 2^s is exact."""
+    b, x = big.bit_length(), eps / _LN2_HI
+    if b <= 512 and x <= 512:  # nothing to scale
+        return 0, math.exp(eps), 1.0
+    s = max(0, b - 512, math.ceil(min(x - 512, b + 1072)))
+    if x - s > 512:
+        return s, 2.0 ** 512, math.ldexp(1.0, -s)
+    j = round(x) if eps > 700 else 0  # e^eps = 2^j e^r, |r| <= ln 2 / 2
+    e = math.ldexp(math.exp(eps - j * _LN2_HI - j * _LN2_LO), j - s)
+    return s, e, math.ldexp(1.0, -s)
+
 
 def _require_multi_db(params: SystemParams) -> None:
     if params.n_databases < 2:
@@ -39,31 +58,39 @@ def _require_multi_db(params: SystemParams) -> None:
         )
 
 
-def _forms(params: SystemParams, converse: bool = True) -> tuple:
+def _forms(params: SystemParams) -> tuple:
     """(delta1, alpha1, d_upper, delta2, alpha2, d_lower) at one point.
 
-    Each closed form is written and evaluated once. converse=False
-    returns the first three only and skips F^(K-1), so the achievable
-    side stays finite where F^(K-1) overflows.
-    """
+    Each closed form is written and evaluated once, on e^eps, N^(K-1) and 1
+    scaled by 2^-s, F = N e^eps and 1 by 2^-u, F^(K-1) and 1 by 2^-t (from
+    F^K), so it keeps its bits wherever its unscaled terms fit in a double.
+    Past that, F^(K-1) is estimated, next to terms 2^1024 times larger.
+    delta = 0 is below both thresholds, positive for finite eps."""
     _require_multi_db(params)
     n, k, delta = params.n_databases, params.n_messages, params.delta
-    e = params.exp_eps()
-    if math.isinf(e):
+    if math.isinf(params.eps):
         return (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
     m = n ** (k - 1)
-    d1 = (m - 1) / ((n - 1) * (e + m - 1))
-    upper = (d1, 0.0, 1.0 + d1) if delta >= d1 else (
-        d1, max(0.0, 1.0 / (n - 1) - delta * (e + m - 1) / (m - 1)),
-        1.0 + 1.0 / (n - 1) - delta * e / (m - 1))
-    if not converse:
-        return upper
+    s, e, one = scaled_terms(params.eps, m)
+    m1, m = (m - 1) / (1 << s), m / (1 << s)
+    d1 = m1 / ((n - 1) * (e + m - one))
+    upper = (d1, 0.0, 1.0 + d1) if 0 < delta >= d1 else (
+        d1, max(0.0, 1.0 / (n - 1) - delta * (e + m - one) / m1),
+        1.0 + 1.0 / (n - 1) - delta * e / m1)
+    u, e, ou = scaled_terms(params.eps, 1)
     f = n * e
-    fk = f ** (k - 1)
-    d2 = (fk - 1) / ((f - 1) * fk)
-    return upper + ((d2, 0.0, 1.0 + d2) if delta >= d2 else (
-        d2, max(0.0, 1.0 / (f - 1) - delta * fk / (fk - 1)),
-        1.0 + 1.0 / (f - 1) - delta / (fk - 1)))
+    lf = math.log2(f)
+    g = (k - 1) * (lf + u)
+    t = max(0, math.ceil(g + lf) - 1000)
+    try:
+        fk = math.ldexp(f ** (k - 1), u * (k - 1) - t)
+    except OverflowError:
+        fk = 2.0 ** (g - t)
+    ot = math.ldexp(1.0, -t)
+    d2 = (fk - ot) * ou / ((f - ou) * fk)
+    return upper + ((d2, 0.0, 1.0 + d2) if 0 < delta >= d2 else (
+        d2, max(0.0, ou / (f - ou) - delta * fk / (fk - ot)),
+        1.0 + ou / (f - ou) - delta * ot / (fk - ot)))
 
 
 def delta1_threshold(params: SystemParams) -> float:
@@ -72,7 +99,7 @@ def delta1_threshold(params: SystemParams) -> float:
     Equals (N^(K-1) - 1) / ((N-1) (e^eps + N^(K-1) - 1)); decreasing in
     eps, 0 in the eps -> infinity limit.
     """
-    return _forms(params, converse=False)[0]
+    return _forms(params)[0]
 
 
 def delta2_threshold(params: SystemParams) -> float:
@@ -91,7 +118,7 @@ def alpha1_rate(params: SystemParams) -> float:
     exactly zero for delta >= delta1_threshold, and zero for all delta in
     the eps -> infinity limit.
     """
-    return _forms(params, converse=False)[1]
+    return _forms(params)[1]
 
 
 def alpha2_rate(params: SystemParams) -> float:
@@ -105,7 +132,7 @@ def d_upper(params: SystemParams) -> float:
     1 + 1/(N-1) - delta e^eps/(N^(K-1) - 1) for delta below
     delta1_threshold; flat at 1 + delta1_threshold beyond it.
     """
-    return _forms(params, converse=False)[2]
+    return _forms(params)[2]
 
 
 def d_lower(params: SystemParams) -> float:
@@ -128,8 +155,8 @@ def gap_ratio(params: SystemParams) -> tuple[float, float]:
 
 
 def _gap_cap(params: SystemParams) -> float:
-    inv_e = 0.0 if params.eps_unbounded else math.exp(-params.eps)
-    return (params.n_databases - inv_e) / (params.n_databases - 1)
+    n = params.n_databases
+    return (n - math.exp(-params.eps)) / (n - 1)
 
 
 @dataclass(frozen=True)
@@ -179,30 +206,27 @@ def classify_regime(params: SystemParams) -> RegimeInfo:
     agree); delta at or past the threshold with eps > 0 is user-side-only
     leakage (L-PIR); unbounded eps with delta = 0 needs no protocol at all.
     """
-    return _regime(params, None)
+    d1, _, cost = _forms(params)[:3]
+    return _regime(params, d1, cost)
 
 
-def _regime(params: SystemParams, d1: Optional[float]) -> RegimeInfo:
-    """classify_regime, reusing delta1 when the caller already has it."""
-    _require_multi_db(params)
+def _regime(params: SystemParams, d1: float, cost: float) -> RegimeInfo:
+    """classify_regime given delta1 and d_upper, the cost it names off PIR."""
     n, k = params.n_databases, params.n_messages
-    if params.eps_unbounded:
+    if math.isinf(params.eps):
         if params.delta == 0.0:
             return RegimeInfo(Regime.NO_PRIVACY, 1.0)
         return RegimeInfo(Regime.L_PIR, 1.0)
     if params.eps == 0.0 and params.delta == 0.0:
-        return RegimeInfo(Regime.SPIR, n / (n - 1))
-    if d1 is None:
-        d1 = delta1_threshold(params)
+        return RegimeInfo(Regime.SPIR, cost)
     if params.eps == 0.0:
         if math.isclose(params.delta, d1, rel_tol=REL_TOL):
             return RegimeInfo(Regime.PIR, sum(n ** -j for j in range(k)))
         if params.delta < d1:
-            return RegimeInfo(Regime.LEAKY_DB,
-                              n / (n - 1) - params.delta / (n ** (k - 1) - 1))
+            return RegimeInfo(Regime.LEAKY_DB, cost)
         return RegimeInfo(Regime.GENERAL, None)
-    if params.delta >= d1:
-        return RegimeInfo(Regime.L_PIR, 1.0 + d1)
+    if 0 < params.delta >= d1:
+        return RegimeInfo(Regime.L_PIR, cost)
     return RegimeInfo(Regime.GENERAL, None)
 
 
@@ -243,7 +267,7 @@ class BoundsReport:
 
 def bounds_report(params: SystemParams) -> BoundsReport:
     d1, a1, upper, d2, a2, lower = _forms(params)
-    info = _regime(params, d1)
+    info = _regime(params, d1, upper)
     return BoundsReport(
         params=params,
         d_upper=upper,

@@ -58,10 +58,10 @@ def analytic_user_ratio(dist: PathDistribution) -> float:
 
     Achieved by vectors with a single nonzero coordinate (probability p
     under one index, q under the other); equals e^eps by construction.
-    Infinite in the eps -> infinity limit, where q = 0.
+    Infinite at eps = inf; where q is subnormal, p / q loses bits: dist.ratio.
     """
-    if dist.q == 0.0:
-        return math.inf
+    if dist.q < 2.0 ** -1022:
+        return dist.ratio
     return dist.p / dist.q
 
 

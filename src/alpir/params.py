@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Above this eps the closed forms are evaluated in the eps -> infinity limit.
-# e^50 ~ 5e21 already drives every eps-dependent term past double precision
-# relevance, and the limit forms avoid overflow for arbitrarily large inputs.
-DEFAULT_EPS_CAP = 50.0
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -27,7 +22,6 @@ class SystemParams:
         message_bits: L, bits per message; (N-1) must divide L when N >= 2.
         eps: user-privacy budget in nats, >= 0, may be math.inf.
         delta: database-privacy budget in bits leaked per message bit, >= 0.
-        eps_cap: eps at or above this value is treated as infinite.
     """
 
     n_databases: int
@@ -35,7 +29,6 @@ class SystemParams:
     message_bits: int
     eps: float
     delta: float
-    eps_cap: float = DEFAULT_EPS_CAP
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_databases, int) or self.n_databases < 1:
@@ -53,19 +46,6 @@ class SystemParams:
             raise ValueError("eps must be >= 0")
         if math.isnan(self.delta) or self.delta < 0 or math.isinf(self.delta):
             raise ValueError("delta must be finite and >= 0")
-        if self.eps_cap <= 0:
-            raise ValueError("eps_cap must be positive")
-
-    @property
-    def eps_unbounded(self) -> bool:
-        """True when eps is treated as infinite (at or above the cap)."""
-        return self.eps >= self.eps_cap
-
-    def exp_eps(self) -> float:
-        """e^eps, or math.inf when eps is at or above the cap."""
-        if self.eps_unbounded:
-            return math.inf
-        return math.exp(self.eps)
 
     def subpacket_count(self) -> int:
         """Subpackets per message part (N - 1). Requires N >= 2."""

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bits import BitString
-from .bounds import alpha1_rate
+from .bounds import alpha1_rate, scaled_terms
 from .params import SystemParams
 
 # Guard subtracted inside the ceiling that quantizes the key size, so that
@@ -120,6 +120,8 @@ class PathDistribution:
     n_messages: int
     p: float
     q: float
+    # p / q = e^eps, kept for where p and q fall below the normal doubles.
+    ratio: float = math.inf
 
     @property
     def low_total(self) -> float:
@@ -134,12 +136,11 @@ def path_distribution(params: SystemParams) -> PathDistribution:
     n, k = params.n_databases, params.n_messages
     if n < 2:
         raise ValueError("path distribution needs n_databases >= 2")
-    e = params.exp_eps()
     high = n ** k - n
-    if math.isinf(e):
-        return PathDistribution(n, k, 1.0 / n, 0.0)
-    denom = n * e + high
-    return PathDistribution(n, k, e / denom, 1.0 / denom)
+    s, e, one = scaled_terms(params.eps, high)
+    denom = n * e + high / (1 << s)
+    _, ratio, one_r = scaled_terms(params.eps, 1)
+    return PathDistribution(n, k, e / denom, one / denom, ratio / one_r)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ expressions, never recomputed through the code under test.
 
 import hashlib
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,14 +15,15 @@ from hypothesis import strategies as st
 from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
                    bounds_report, classify_regime, d_lower, d_upper,
                    delta1_threshold, delta2_threshold, gap_ratio,
-                   plan_partition, single_server_cost)
+                   path_distribution, plan_partition, single_server_cost)
+from bounds_reference import CTX, reference_forms, ulps
 
 EXACT = 1e-12
 
 
-def params(n, k, eps, delta, l=None, **kw):
+def params(n, k, eps, delta, l=None):
     return SystemParams(n, k, l if l is not None else 4 * (n - 1), eps,
-                        delta, **kw)
+                        delta)
 
 
 WORKED = params(2, 2, math.log(1.5), 4 / 15, l=3)
@@ -165,11 +167,9 @@ class TestCosts:
             assert d_upper(p) == 1.0
             assert d_lower(p) == 1.0
 
-    def test_eps_cap_matches_infinity(self):
-        capped = params(2, 2, 60.0, 0.1)
-        assert d_upper(capped) == d_upper(params(2, 2, math.inf, 0.1))
-        tight_cap = params(2, 2, 3.0, 0.1, eps_cap=2.0)
-        assert d_upper(tight_cap) == 1.0
+    def test_large_eps_matches_infinity(self):
+        large = params(2, 2, 60.0, 0.1)
+        assert d_upper(large) == d_upper(params(2, 2, math.inf, 0.1))
 
     @given(st.integers(2, 5), st.integers(2, 4),
            st.floats(0, 5), st.floats(0, 5),
@@ -319,20 +319,10 @@ SINGLE_VALUE = {"d_upper": d_upper, "d_lower": d_lower,
                 "delta1": delta1_threshold, "delta2": delta2_threshold}
 
 
-def outcome(fn, p):
-    """fn(p), or OverflowError when it raises one."""
-    try:
-        return fn(p)
-    except OverflowError:
-        return OverflowError
-
-
 def near_threshold(n, k, eps, threshold, step):
     """A delta at (step 0), one ulp below (-1) or one ulp above (+1) the
-    threshold; 0.25 where the threshold itself overflows."""
-    thr = outcome(threshold, params(n, k, eps, 0.0))
-    if thr is OverflowError:
-        return 0.25
+    threshold."""
+    thr = threshold(params(n, k, eps, 0.0))
     if step:
         return math.nextafter(thr, math.inf if step > 0 else 0.0)
     return thr
@@ -341,7 +331,7 @@ def near_threshold(n, k, eps, threshold, step):
 class TestReportMatchesSingleValues:
     """bounds_report evaluates every closed form in one pass; each field
     must equal its single-value function exactly, at and next to the
-    thresholds, near the eps cap and at eps = inf."""
+    thresholds, near eps = 50 and at eps = inf."""
 
     @given(st.integers(2, 7), st.integers(2, 40),
            st.one_of(st.sampled_from([0.0, 49.9, 50.0, math.inf]),
@@ -354,34 +344,27 @@ class TestReportMatchesSingleValues:
     def test_fields_equal_single_value_functions(self, n, k, eps, threshold,
                                                  step):
         p = params(n, k, eps, near_threshold(n, k, eps, threshold, step))
-        report = outcome(bounds_report, p)
-        singles = {name: outcome(fn, p) for name, fn in SINGLE_VALUE.items()}
-        gap = outcome(gap_ratio, p)
-        regime = outcome(classify_regime, p)
-        raised = OverflowError in (*singles.values(), gap, regime)
-        # The report raises exactly when one of the functions does; making
-        # the forms total is a separate change.
-        assert (report is OverflowError) == raised
-        if raised:
-            return
-        for name, value in singles.items():
-            assert getattr(report, name) == value, name
-        assert (report.gap_ratio, report.gap_cap) == gap
+        report = bounds_report(p)  # nothing raises
+        for name, fn in SINGLE_VALUE.items():
+            assert getattr(report, name) == fn(p), name
+        assert (report.gap_ratio, report.gap_cap) == gap_ratio(p)
+        regime = classify_regime(p)
         assert (report.regime, report.reference_cost) == (
             regime.regime, regime.reference_cost)
 
     def test_achievable_side_finite_where_converse_overflows(self):
-        """F^(K-1) overflows at N=7 K=40 eps=49.9; the achievable side,
-        which plan_partition reads, must not evaluate it."""
+        """F^(K-1) is past the double range at N=7 K=40 eps=49.9; the
+        achievable side, which plan_partition reads, stays exact."""
         p = params(7, 40, 49.9, 0.0)
         for fn in (delta1_threshold, alpha1_rate, d_upper):
             assert math.isfinite(fn(p)), fn.__name__
         assert plan_partition(p).key_bits == 4  # alpha1 = 1/(N-1), L = 24
 
     def test_edge_points_pinned(self):
-        """sha256 of every report at the grid shapes, eps on both sides of
-        the cap, and delta at and one ulp below each threshold, recorded
-        before the forms were evaluated in one pass."""
+        """sha256 of every report at the grid shapes, eps at 49.9, 50, 80
+        and inf, and delta at and one ulp below each threshold, recorded
+        before the forms were evaluated in one pass. The 90 rows at eps 50
+        and 80 were re-pinned when eps stopped being capped at 50."""
         rows = []
         for n in (2, 3, 5):
             for k in (2, 3, 4):
@@ -394,7 +377,7 @@ class TestReportMatchesSingleValues:
                              for d in deltas]
         assert len(rows) == 270
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "d168585e9c19baec7568f8b0acd8db26650422a3f35379e9cf112ad7d0c79da8")
+            "5a64e84440d4cd3bf896b25656f193226e9acad389bd7bf261666ed7417ff697")
 
     # (n, eps, k) at the edge of the double range: for each n and eps, the
     # largest K at which every report field was still finite when eps had
@@ -421,3 +404,78 @@ class TestReportMatchesSingleValues:
                    if isinstance(v, float))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "7e252448c941f7785c53e10d14d9c72eafdc71ccfd45197476af5afe099414bf")
+
+
+# Largest error, in ulps, of every closed form against the exact reference.
+# Where the terms fit, the forms keep their old expressions, and delta2
+# rounds F = N e^eps before subtracting 1: the worst seen was 3.8 ulps
+# (N=3, K=8, eps near 7e-4) over about 300,000 random points. 8 leaves
+# room for roundings that line up worse than any drawn.
+ULP_BOUND = 8
+EPS_EDGES = (0.0, 49.9, 50.0, 700.0, 710.0, 1e6, math.inf)
+
+
+class TestAgainstExactReference:
+    """Every closed form, the gap cap and the path law against a 60-digit
+    decimal evaluation (tests/bounds_reference.py), for N up to 256, K up
+    to 5000 and every eps a double holds. Each value is within ULP_BOUND
+    ulps of its own size; alpha1 and alpha2, whose terms cancel, within
+    ULP_BOUND ulps of 1/(N-1) and 1/(F-1). Next to a threshold (two ulps),
+    either branch of the kink passes: a threshold below the normal doubles
+    cannot be placed more finely than their spacing."""
+
+    @given(n=st.integers(2, 256), k=st.integers(2, 5000),
+           eps=st.one_of(st.sampled_from(EPS_EDGES),
+                         st.floats(0.0, allow_infinity=False)),
+           near=st.sampled_from([None, delta1_threshold, delta2_threshold]),
+           step=st.sampled_from([-1, 0, 1]), delta=st.floats(0.0, 2.0),
+           more_eps=st.floats(0.0, 100.0), more_delta=st.floats(0.0, 1.0))
+    @example(n=7, k=14, eps=49.9, near=None, step=0, delta=0.0,
+             more_eps=0.0, more_delta=0.0)
+    @example(n=20, k=255, eps=0.5, near=delta1_threshold, step=-1,
+             delta=0.0, more_eps=1.0, more_delta=0.1)
+    @settings(max_examples=150, deadline=None)
+    def test_forms_match_reference(self, n, k, eps, near, step, delta,
+                                   more_eps, more_delta):
+        if near is not None:
+            delta = near_threshold(n, k, eps, near, step)
+        rep = bounds_report(params(n, k, eps, delta))
+        ref = reference_forms(n, k, eps, delta)
+        scale = {"alpha1": 1.0 / (n - 1), "alpha2": float(ref["inv_f1"])}
+        flips = [(False, False)]
+        for side, name in ((0, "delta1"), (1, "delta2")):
+            thr = float(ref[name])
+            if thr > 0 and abs(delta - thr) <= 2 * math.ulp(thr):
+                flips += [(not a, b) if side == 0 else (a, not b)
+                          for a, b in flips]
+        refs = [ref] + [reference_forms(n, k, eps, delta, *f)
+                        for f in flips[1:]]
+        for name in (*SINGLE_VALUE, "gap_cap"):
+            got = getattr(rep, name)
+            assert math.isfinite(got), name
+            err = min(ulps(got, r[name], scale.get(name, float(r[name])))
+                      for r in refs)
+            assert err <= ULP_BOUND, (name, got, float(ref[name]), err)
+        tol = ULP_BOUND * math.ulp(2.0)
+        assert rep.delta1 >= rep.delta2 * (1 - tol)
+        assert 1.0 - tol <= rep.gap_ratio <= rep.gap_cap * (1 + tol)
+        for later in (params(n, k, eps + more_eps, delta),
+                      params(n, k, eps, delta + more_delta)):
+            assert d_upper(later) <= rep.d_upper * (1 + tol)
+            assert d_lower(later) <= rep.d_lower * (1 + tol)
+
+    @given(n=st.integers(2, 256), k=st.integers(2, 5000),
+           eps=st.one_of(st.sampled_from(EPS_EDGES),
+                         st.floats(0.0, allow_infinity=False)))
+    @example(n=20, k=255, eps=0.5)
+    @settings(max_examples=100, deadline=None)
+    def test_path_law_matches_reference(self, n, k, eps):
+        dist = path_distribution(SystemParams(n, k, n - 1, eps, 0.0))
+        ref = reference_forms(n, k, eps, 0.0)
+        for name in ("p", "q"):
+            got = getattr(dist, name)
+            assert ulps(got, ref[name], float(ref[name])) <= ULP_BOUND, name
+        if dist.q >= 2.0 ** -1022:  # below that, q keeps too few bits
+            with localcontext(CTX):
+                mass = n * Decimal(dist.p) + (n ** k - n) * Decimal(dist.q)
+            assert abs(float(mass) - 1.0) <= ULP_BOUND * math.ulp(1.0)

@@ -8,6 +8,7 @@ import pytest
 
 from alpir.cli import BOUNDS_FIELDS, DEFAULTS, _bool_cast, main, parse_grid
 from alpir.selfcheck import run_all
+from bounds_reference import reference_forms, ulps
 
 
 def run_cli(capsys, *args):
@@ -92,6 +93,55 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "--n", "2", "--k", "1")
         assert code == 2
         assert "error:" in err
+
+
+class TestPastTheDoubleRange:
+    """Points whose N^(K-1), F^(K-1) or e^eps pass the double range. They
+    once ended in an OverflowError, a 0.0 threshold or an eps cap; every
+    row is now finite and matches the exact reference."""
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "2", "--k", "1100"),
+        ("--n", "2", "--k", "1100", "--delta", "0.1"),
+        ("--n", "7", "--k", "40", "--eps", "49.9"),
+        ("--n", "7", "--k", "14", "--eps", "49.9", "--delta", "0"),
+        ("--n", "2", "--k", "2", "--eps", "710"),
+        ("--n", "2", "--k", "2", "--eps", "1e6", "--delta", "0.1"),
+    ], ids=["k1100", "k1100-leaky-db", "n7-k40-eps49.9", "n7-k14-eps49.9",
+            "eps710", "eps1e6"])
+    def test_bounds_row_is_exact(self, capsys, args):
+        code, out, err = run_cli(capsys, "bounds", *args,
+                                 "--format", "json-lines")
+        assert code == 0, err
+        row = json.loads(out)
+        assert all(math.isfinite(v) for v in row.values()
+                   if isinstance(v, float)), row
+        ref = reference_forms(row["n"], row["k"], row["eps"], row["delta"])
+        for name in ("delta1", "delta2", "d_upper", "d_lower"):
+            assert ulps(row[name], ref[name], row[name]) <= 4, name
+        # 0.0 only where the exact value is below every double (eps = 1e6)
+        assert (row["delta2"] == 0.0) == (float(ref["delta2"]) == 0.0)
+
+    def test_no_jump_at_eps_fifty(self, capsys):
+        """eps = 50 was once treated as infinite: d_upper 1.0, NoPrivacy."""
+        for eps in ("49.9", "50"):
+            code, out, _ = run_cli(capsys, "bounds", "--n", "2", "--k", "2",
+                                   "--eps", eps, "--delta", "0",
+                                   "--format", "json-lines")
+            row = json.loads(out)
+            assert code == 0
+            assert (row["d_upper"], row["regime"]) == (2.0, "General")
+
+    def test_simulate_inside_the_wire_range(self, capsys):
+        """N=20 K=255: N^K passes the double range, so p and q are both
+        below the smallest double, and p / q is read from e^eps."""
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--k",
+                                 "255", "--l", "19", "--eps", "0.5",
+                                 "--delta", "0.1", "--trials", "300")
+        assert code == 0, err
+        assert "analytic=1.64872127 " in out
+        assert "nan" not in out and "inf" not in out
+        assert out.rstrip().endswith("verdict: PASS")
 
 
 class TestSweepCommand:
@@ -203,8 +253,9 @@ class TestCliGolden:
     --out formats. The two "oracle-skipped" rows (l=16) once covered the
     skipped branch of the brute-force oracle; the rank oracle's cost does
     not grow with l, and they were re-pinned with its exact value. The
-    bounds and sweep rows cover the single-server table, the eps cap from
-    either side and eps = inf, and the benchmark's 46,359-row grid."""
+    bounds and sweep rows cover the single-server table, eps = 49.9, 50
+    and inf, and the benchmark's 46,359-row grid. eps = 50 was once
+    treated as infinite; its row was re-pinned when that cap went."""
 
     WORKED = ("--n", "2", "--k", "2", "--l", "3", "--eps", str(math.log(1.5)),
               "--delta", str(4 / 15), "--seed", "3", "--trials", "2000")
@@ -259,7 +310,7 @@ class TestCliGolden:
         (("sweep", *EDGE, "--eps", "inf"),
          "4744a68da467bc2b6a3cf716d1260572685f2d965c3034872607c92877377b2d"),
         (("sweep", *EDGE, "--eps", "50"),
-         "544bfac1b23e0639bd94653f21797db9c74adcd8531f3d4b998f13fbdab4f396"),
+         "32aed4f394536442b8a9d4c2ab8699dcb5a2e44c329d65730713c2c077b776cc"),
         (("sweep", *EDGE, "--eps", "49.9"),
          "a19614b81a54e73ed5f1282352bf8d42c08b71de36f5d8ca22025f6bbce29ebe"),
     ], ids=["bounds-single-server", "sweep-eps-inf", "sweep-eps-cap",
