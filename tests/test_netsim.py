@@ -421,6 +421,65 @@ class TestPipelining:
         assert stats.decode_failures == 0
 
 
+
+@pytest.fixture
+def sent_streams(monkeypatch):
+    """Every byte each transport end sends, as one list of chunks per end,
+    keyed by end in the order the ends first send. The handshake is
+    lock-step, so a deployment's ends first send in a fixed order:
+    client to db0, db0 to client, client to db1, db1 to client."""
+    streams = {}
+    for cls in (transport.ChannelConnection, transport.SocketConnection):
+        def send(self, data, _send=cls.send):
+            streams.setdefault(self, []).append(bytes(data))
+            _send(self, data)
+        monkeypatch.setattr(cls, "send", send)
+    return streams
+
+
+def stream_digests(streams):
+    return [hashlib.sha256(b"".join(chunks)).hexdigest()
+            for chunks in streams.values()]
+
+
+class TestStreamGolden:
+    """The sha256 of the byte stream on every connection, each direction,
+    for fixed-seed runs. How the bytes are cut into writes is free; the
+    bytes themselves must not move."""
+
+    @pytest.mark.parametrize("params, trials, transport_name, digests", [
+        (WORKED, 1000, "memory", [
+            "649294ae10277a048a4c1728815573de859e452c1e11065df4aa364dbc58d24a",
+            "5a572ee22e725f6251ac31fb4f5632e3a5b4c07d9beab7d4eb1c12375e586ade",
+            "f92e03ce39bc115930d75d05ccbcbeccff018ceb79192898a1d98488b40a156d",
+            "8775a448ca683f6d64f196b0dab2c05c105405954a79c31ce26bae230c8bfa25",
+        ]),
+        (WIDE_K, 300, "tcp", [
+            "4a88c586dc86e9f8636f9811263446b09f1182ddd226c080d3543edf92aaca66",
+            "c83d12362cdcf8382ee89709d6197a0e045e5df3b6050a4674c8ace4309c3c43",
+            "5af23b506f3ce9ce2c1bca19798420a6701c64fe93af5e6b69aaf377fcc95ec1",
+            "6ea610bbdd1f9227919ce6d439e40999e499bec515816021f85e3c3b71254e8f",
+        ]),
+    ], ids=["worked-memory", "wide-k-tcp"])
+    def test_run_trials_streams(self, sent_streams, params, trials,
+                                transport_name, digests):
+        stats = run_trials(trials, params, seed=7, transport=transport_name)
+        assert stats.decode_failures == 0
+        assert stream_digests(sent_streams) == digests
+
+    def test_lockstep_retrieve_streams(self, sent_streams):
+        store = provision(WORKED, WORKED_LAYOUT, derived_rng(7, "store"))
+        with deployment(WORKED, WORKED_LAYOUT, store) as conns:
+            for i in range(20):
+                retrieve(WORKED, WORKED_LAYOUT, i % 2, conns,
+                         derived_rng(7, "session", i), session_id=i)
+        assert stream_digests(sent_streams) == [
+            "44f379618b78cfbe5b89e4462623154921ee9d39794f153760bcc7cece1a6e06",
+            "a3d8dfa72cacf067aa6466924aa3680ce573371c6b51028ffb193a02fbb4e27b",
+            "2059f82ca9ab16c33e93e23eee4c7da854c66ff3c71c3713fccb5e6b9266ede7",
+            "5d439c26d2a3e55aff81b400f3f8f27b7b8eee3031ea4d618c4233d0502e5258",
+        ]
+
 def faulty_server(fault, after):
     """A serve_connection stand-in: database 0 answers `after` queries
     correctly, then misbehaves on every later one; the others are real."""
