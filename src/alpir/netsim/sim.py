@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,12 +28,10 @@ from ..scheme import (MessageStore, PartitionLayout, PathClass,
                       sample_path)
 from ..seeding import derived_rng
 from . import transport, wire
-from .transport import TcpListener, memory_pair, tcp_connect
+from .transport import (IN_FLIGHT_BYTES, TcpListener, memory_pair,
+                        tcp_connect)
 
 CSV_HEADER = "session_id,desired,class,bits,leaked_bits"
-
-# Bytes of queries and answers `run_trials` keeps in flight per connection.
-IN_FLIGHT_BYTES = 16 * 1024
 
 
 class SessionError(Exception):
@@ -69,18 +67,28 @@ def serve_connection(db_index: int, store: MessageStore,
     and the connection continues. A client that hangs up with answers
     still queued (a pipelined run that failed) ends the connection too.
 
+    Replies wait while the connection has input pending (a refill's
+    queries arrive together), then go out in one write, as they do before
+    the connection closes; without `pending`, each goes out at once.
+
     A layout with a part BitString keeps packed has each answer folded
     straight into its frame (wire.answer_frame); narrower answers are
     folded as ints and encoded by wire.encode_answer.
     """
     in_frame = (max(layout.key_bits, layout.open_subpacket_bits) + 7
                 >> 3 >= bits._PACKED_MIN_BYTES)
+    pending = getattr(conn, "pending", None)
+    held: list = []
+    reply = held.append
     try:
         while True:
+            if held and (pending is None or not pending()):
+                conn.send(held[0] if len(held) == 1 else b"".join(held))
+                held.clear()
             try:
                 frame = wire.read_frame(conn)
             except wire.WireError as exc:
-                conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
+                reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                 return
             if frame is None:
                 return
@@ -88,14 +96,14 @@ def serve_connection(db_index: int, store: MessageStore,
                 try:
                     wire.decode_hello(frame.payload)
                 except wire.WireError as exc:
-                    conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
+                    reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                     continue
-                conn.send(wire.encode_hello())
+                reply(wire.encode_hello())
             elif frame.msg_type == wire.MSG_QUERY:
                 try:
                     session_id, indices = wire.decode_query(frame.payload)
                 except wire.WireError as exc:
-                    conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
+                    reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                     continue
                 try:
                     if in_frame:
@@ -105,17 +113,20 @@ def serve_connection(db_index: int, store: MessageStore,
                         data = wire.encode_answer(session_id, answer(
                             store, layout, QueryVector(indices)))
                 except ValueError:
-                    conn.send(wire.encode_error(
+                    reply(wire.encode_error(
                         wire.ERR_BAD_QUERY, "query vector out of range"))
                     continue
-                conn.send(data)
+                reply(data)
             else:
-                conn.send(wire.encode_error(
+                reply(wire.encode_error(
                     wire.ERR_UNKNOWN_TYPE,
                     f"unknown message type {frame.msg_type:#x}"))
     except OSError:
         return
     finally:
+        if held:
+            with suppress(OSError):
+                conn.send(b"".join(held))
         conn.close()
 
 
@@ -217,29 +228,35 @@ class _Pending(NamedTuple):
     upload_bits: int
 
 
-def _send_session(params: SystemParams, dist: PathDistribution,
-                  desired: int, conns: Sequence, rng, session_id: int,
-                  relabel: bool) -> _Pending:
-    """First half of a session: sample, build and send the N queries."""
-    if not 0 <= desired < params.n_messages:
-        raise ValueError("desired message index out of range")
+def _send_sessions(params: SystemParams, dist: PathDistribution,
+                   conns: Sequence, sessions, relabel: bool) -> list[_Pending]:
+    """First half of sessions (session id, desired index, rng): build the
+    N queries of each, then send each connection its frames in one write."""
     if len(conns) != params.n_databases:
         raise ValueError("need one connection per database")
-    choice = sample_path(dist, desired, rng)
-    queries = make_queries(choice, params)
-    targets = list(range(params.n_databases))
-    if relabel:
-        rng.shuffle(targets)
-    upload_bits = 0
-    try:
+    outboxes = [[] for _ in conns]
+    started = []
+    for session_id, desired, rng in sessions:
+        if not 0 <= desired < params.n_messages:
+            raise ValueError("desired message index out of range")
+        choice = sample_path(dist, desired, rng)
+        queries = make_queries(choice, params)
+        targets = list(range(params.n_databases))
+        if relabel:
+            rng.shuffle(targets)
+        upload_bits = 0
         for d, qv in enumerate(queries):
             data = wire.encode_query(session_id, qv.indices)
             upload_bits += 8 * len(data)
-            conns[targets[d]].send(data)
+            outboxes[targets[d]].append(data)
+        started.append(_Pending(session_id, desired, choice.path_class,
+                                queries, targets, upload_bits))
+    try:
+        for conn, frames in zip(conns, outboxes):
+            conn.send(b"".join(frames))
     except OSError as exc:
         raise SessionError(f"send failed: {exc}") from None
-    return _Pending(session_id, desired, choice.path_class, queries, targets,
-                    upload_bits)
+    return started
 
 
 def _finish_session(layout: PartitionLayout, conns: Sequence,
@@ -299,8 +316,8 @@ def retrieve(params: SystemParams, layout: PartitionLayout, desired: int,
     stores are replicated, so this changes no outcome. The session is
     lock-step: its answers are read before the call returns.
     """
-    pending = _send_session(params, path_distribution(params), desired,
-                            conns, rng, session_id, relabel)
+    (pending,) = _send_sessions(params, path_distribution(params), conns,
+                                [(session_id, desired, rng)], relabel)
     return _finish_session(layout, conns, pending, expected)
 
 
@@ -338,7 +355,9 @@ def run_trials(trials: int, params: SystemParams, seed: int,
     records are reproducible and independent of transport.
 
     Sessions are pipelined: up to `pipeline_window` of them have their
-    queries sent before the oldest one's answers are read. Every
+    queries sent before the oldest one's answers are read. Once at most
+    half the window is in flight, one refill builds sessions up to the
+    full window and sends each connection its frames in one write. Every
     connection answers in FIFO order, so sessions finish in order and the
     records equal a loop of lock-step `retrieve` calls. The window keeps
     the bytes in flight per connection, queries and answers together,
@@ -364,12 +383,14 @@ def run_trials(trials: int, params: SystemParams, seed: int,
     with deployment(params, layout, store, transport) as conns:
         sent = 0
         for _ in range(trials):
-            while sent < trials and len(in_flight) < window:
-                k = sent % params.n_messages if desired is None else desired
-                in_flight.append(_send_session(
-                    params, dist, k, conns, derived_rng(seed, "session", sent),
-                    sent, relabel))
-                sent += 1
+            if sent < trials and len(in_flight) <= window // 2:
+                batch = range(sent, min(trials,
+                                        sent + window - len(in_flight)))
+                in_flight.extend(_send_sessions(params, dist, conns, (
+                    (i, i % params.n_messages if desired is None else desired,
+                     derived_rng(seed, "session", i)) for i in batch),
+                    relabel))
+                sent = batch.stop
             pending = in_flight.popleft()
             k = pending.desired
             # The decoded message is dropped at once. Held until the next

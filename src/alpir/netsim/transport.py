@@ -1,8 +1,9 @@
 """Byte-stream transports: an in-process channel and localhost TCP.
 
 Both expose the same minimal blocking interface (send / recv /
-recv_into / close), so the protocol layer cannot tell them apart; runs
-over either must produce identical session records.
+recv_into / pending / close), so the protocol layer cannot tell them
+apart; runs over either must produce identical session records. Both
+read through one buffer; pending() says whether it holds unread bytes.
 
 Client ends (the first end of `memory_pair`, and `tcp_connect`) give up a
 read after READ_DEADLINE_S seconds without data and raise TimeoutError, so
@@ -19,17 +20,56 @@ from typing import Optional
 
 READ_DEADLINE_S = 30.0
 
+# Bytes of queries and answers a pipelined client keeps in flight per
+# connection: the Linux loopback default send buffer.
+IN_FLIGHT_BYTES = 16 * 1024
 
-class ChannelConnection:
-    """One end of an in-memory duplex byte stream."""
+
+class _BufferedReader:
+    """Bytes _offset to _end of _chunk are read but not handed out yet.
+    A transport supplies _fill, which waits for more of the stream and
+    leaves _offset == _end only at its end."""
+
+    _chunk = b""
+    _offset = _end = 0
+
+    def pending(self) -> bool:
+        """Whether bytes already read from the stream are still unread."""
+        return self._offset < self._end
+
+    def recv(self, max_n: int) -> bytes:
+        if max_n <= 0:
+            raise ValueError("max_n must be positive")
+        if self._offset == self._end:
+            self._fill()
+        start = self._offset
+        self._offset = min(start + max_n, self._end)
+        return bytes(self._chunk[start:self._offset])
+
+    def recv_into(self, buffer) -> int:
+        """Copy up to len(buffer) bytes into buffer, as recv would return
+        them; 0 at end of stream."""
+        view = memoryview(buffer)
+        if not view:
+            raise ValueError("buffer must not be empty")
+        if self._offset == self._end:
+            self._fill()
+        start = self._offset
+        self._offset = min(start + len(view), self._end)
+        view[:self._offset - start] = memoryview(self._chunk)[
+            start:self._offset]
+        return self._offset - start
+
+
+class ChannelConnection(_BufferedReader):
+    """One end of an in-memory duplex byte stream; each send arrives as
+    one chunk."""
 
     def __init__(self, inbox: SimpleQueue, outbox: SimpleQueue,
                  timeout: Optional[float] = None):
         self._inbox = inbox
         self._outbox = outbox
         self._timeout = timeout
-        self._chunk = b""       # the chunk being read, from self._offset on
-        self._offset = 0
         self._eof = False
         self._closed = False
 
@@ -39,9 +79,7 @@ class ChannelConnection:
         self._outbox.put(bytes(data))
 
     def _fill(self) -> None:
-        """Wait until the current chunk has unread bytes or the stream
-        has ended."""
-        while self._offset == len(self._chunk) and not self._eof:
+        while self._offset == self._end and not self._eof:
             try:
                 chunk = self._inbox.get(timeout=self._timeout)
             except Empty:
@@ -49,32 +87,7 @@ class ChannelConnection:
             if chunk is None:
                 self._eof = True
             else:
-                self._chunk, self._offset = chunk, 0
-
-    def recv(self, max_n: int) -> bytes:
-        if max_n <= 0:
-            raise ValueError("max_n must be positive")
-        if self._offset == len(self._chunk):
-            self._fill()
-        start, chunk = self._offset, self._chunk
-        self._offset = min(start + max_n, len(chunk))
-        if start == 0 and self._offset == len(chunk):
-            return chunk
-        return chunk[start:self._offset]
-
-    def recv_into(self, buffer) -> int:
-        """Copy up to len(buffer) bytes into buffer, as recv would return
-        them; 0 at end of stream."""
-        view = memoryview(buffer)
-        if not view:
-            raise ValueError("buffer must not be empty")
-        if self._offset == len(self._chunk):
-            self._fill()
-        start = self._offset
-        self._offset = min(start + len(view), len(self._chunk))
-        view[:self._offset - start] = memoryview(self._chunk)[
-            start:self._offset]
-        return self._offset - start
+                self._chunk, self._offset, self._end = chunk, 0, len(chunk)
 
     def close(self) -> None:
         if not self._closed:
@@ -90,25 +103,27 @@ def memory_pair() -> tuple[ChannelConnection, ChannelConnection]:
             ChannelConnection(a_to_b, b_to_a))
 
 
-class SocketConnection:
-    """Thin adapter giving a socket the channel interface."""
+class SocketConnection(_BufferedReader):
+    """A socket with the channel interface. Reads go through a read-ahead
+    buffer, allocated once, of about what one pipeline refill's queries
+    take; a recv_into that finds it drained reads straight into buffer."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._chunk = memoryview(bytearray(IN_FLIGHT_BYTES // 2))
 
     def send(self, data: bytes) -> None:
         self._sock.sendall(data)
 
-    def recv(self, max_n: int) -> bytes:
-        try:
-            return self._sock.recv(max_n)
-        except BlockingIOError:  # SO_RCVTIMEO expired on a blocking socket
-            raise TimeoutError("read deadline passed") from None
+    def _fill(self) -> None:
+        self._offset, self._end = 0, self.recv_into(self._chunk)
 
     def recv_into(self, buffer) -> int:
+        if self._offset < self._end:
+            return super().recv_into(buffer)
         try:
             return self._sock.recv_into(buffer)
-        except BlockingIOError:
+        except BlockingIOError:  # SO_RCVTIMEO expired on a blocking socket
             raise TimeoutError("read deadline passed") from None
 
     def close(self) -> None:

@@ -1,6 +1,7 @@
 """Wire format for the client/database protocol.
 
-Frames are self-delimiting on a byte stream:
+Frames are self-delimiting on a byte stream, so one write may carry
+many of them (a pipeline refill's queries, or their answers):
 
     u32 length (big-endian) = 1 + len(payload)
     u8  msg_type

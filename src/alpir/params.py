@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+MAX_DATABASES = 1 << 500  # the N bounds.scaled_terms leaves room for
+
 
 @dataclass(frozen=True)
 class SystemParams:
     """Immutable system configuration.
 
     Attributes:
-        n_databases: N, number of replicated servers (>= 1).
+        n_databases: N, number of replicated servers, 1 to 2^500.
         n_messages: K, number of stored messages (>= 2).
         message_bits: L, bits per message; (N-1) must divide L when N >= 2.
         eps: user-privacy budget in nats, >= 0, may be math.inf.
@@ -31,8 +33,9 @@ class SystemParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_databases, int) or self.n_databases < 1:
-            raise ValueError("n_databases must be an integer >= 1")
+        if (not isinstance(self.n_databases, int)
+                or not 1 <= self.n_databases <= MAX_DATABASES):
+            raise ValueError("n_databases must be an integer from 1 to 2^500")
         if not isinstance(self.n_messages, int) or self.n_messages < 2:
             raise ValueError("n_messages must be an integer >= 2")
         if not isinstance(self.message_bits, int) or self.message_bits < 1:

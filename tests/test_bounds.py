@@ -16,6 +16,7 @@ from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
                    bounds_report, classify_regime, d_lower, d_upper,
                    delta1_threshold, delta2_threshold, gap_ratio,
                    path_distribution, plan_partition, single_server_cost)
+from alpir.params import MAX_DATABASES
 from bounds_reference import CTX, reference_forms, ulps
 
 EXACT = 1e-12
@@ -302,6 +303,23 @@ class TestValidationAndReport:
             SystemParams(2, 2, 4, 0.0, math.inf)
         with pytest.raises(ValueError):
             SystemParams(2, 2, 0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 50])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 710.0, 800.0, math.inf])
+    def test_database_count_cap(self, k, eps):
+        """N up to 2^500 keeps every form finite and exact; past that,
+        where delta1 once read 0.0 and n * e^eps overflowed, SystemParams
+        refuses N."""
+        n = MAX_DATABASES
+        for delta in (0.0, 0.3):
+            rep = bounds_report(params(n, k, eps, delta))
+            ref = reference_forms(n, k, eps, delta)
+            for name in ("delta1", "delta2", "d_upper", "d_lower"):
+                got = getattr(rep, name)
+                assert math.isfinite(got), name
+                assert ulps(got, ref[name], float(ref[name])) <= 1, name
+        with pytest.raises(ValueError, match="2\\^500"):
+            params(n + 1, k, eps, 0.0)
 
     def test_report_is_consistent(self):
         rep = bounds_report(WORKED)

@@ -122,6 +122,17 @@ class TestPastTheDoubleRange:
         # 0.0 only where the exact value is below every double (eps = 1e6)
         assert (row["delta2"] == 0.0) == (float(ref["delta2"]) == 0.0)
 
+    @pytest.mark.parametrize("eps", ["0", "800"])
+    def test_database_count_past_the_cap(self, capsys, eps):
+        """N = 2^520 + 1 once printed delta1 = 0.0 (eps 0) or ended in an
+        OverflowError traceback (eps 800)."""
+        code, out, err = run_cli(capsys, "bounds", "--n", str(2 ** 520 + 1),
+                                 "--k", "2", "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_databases must be an integer from 1 to " \
+            "2^500\n"
+
     def test_no_jump_at_eps_fifty(self, capsys):
         """eps = 50 was once treated as infinite: d_upper 1.0, NoPrivacy."""
         for eps in ("49.9", "50"):

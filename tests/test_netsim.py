@@ -14,6 +14,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpir import (Answer, BitString, MessageStore, PathClass, QueryVector,
                    SystemParams, answer, bits, derived_rng, empirical_cost_audit,
@@ -480,6 +482,88 @@ class TestStreamGolden:
             "5d439c26d2a3e55aff81b400f3f8f27b7b8eee3031ea4d618c4233d0502e5258",
         ]
 
+
+def refills(trials, window):
+    """Pipeline refills of run_trials: the first fills the window, and each
+    later one, made once at most window // 2 sessions are in flight, tops
+    it up with the window - window // 2 sessions read since."""
+    return 1 + max(0, math.ceil((trials - window) / (window - window // 2)))
+
+
+class TestCoalescedWrites:
+    @pytest.mark.parametrize("params, trials", [
+        (WORKED, 1), (WORKED, 420), (WORKED, 421), (WORKED, 1000),
+        (WIDE_K, 56), (WIDE_K, 300),
+    ])
+    def test_one_write_per_refill(self, sent_streams, params, trials):
+        """Over memory each refill reaches its server as one chunk, so the
+        server answers it in one write too: 1 Hello + one per refill on
+        every end, both directions."""
+        window = sim.pipeline_window(params, plan_partition(params))
+        assert refills(trials, 1) == trials
+        run_trials(trials, params, seed=7)
+        assert [len(chunks) for chunks in sent_streams.values()] == \
+            [1 + refills(trials, window)] * 4
+
+    def test_lockstep_retrieve_writes_each_query(self, sent_streams):
+        store = provision(WORKED, WORKED_LAYOUT, derived_rng(7, "store"))
+        with deployment(WORKED, WORKED_LAYOUT, store) as conns:
+            for i in range(20):
+                retrieve(WORKED, WORKED_LAYOUT, i % 2, conns,
+                         derived_rng(7, "session", i), session_id=i)
+        assert [len(chunks) for chunks in sent_streams.values()] == [21] * 4
+
+    def test_pending_sees_the_chunk_not_the_queue(self):
+        client, server = memory_pair()
+        assert not client.pending()
+        server.send(encode_query(1, (1, 0)) + encode_query(2, (0, 1)))
+        server.send(encode_query(3, (1, 1)))
+        assert decode_query(read_frame(client).payload)[0] == 1
+        assert client.pending()
+        assert decode_query(read_frame(client).payload)[0] == 2
+        assert not client.pending()
+        assert decode_query(read_frame(client).payload)[0] == 3
+
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    def test_answers_then_error_then_hangup(self, transport_name):
+        """Queries and framing damage in one write: every answer the
+        server holds goes out before its Error frame and the hangup."""
+        handle = sim.ServerHandle(0, STORE, WORKED_LAYOUT)
+        conn = (handle.start_memory() if transport_name == "memory"
+                else tcp_connect(handle.start_tcp()))
+        queries = [(1, 0), (0, 1), (1, 1), (0, 0)]
+        try:
+            conn.send(b"".join(encode_query(sid, qv)
+                               for sid, qv in enumerate(queries))
+                      + b"\x00\x00\x00\x00")
+            for sid, qv in enumerate(queries):
+                assert decode_answer(read_frame(conn).payload) == (
+                    sid, answer(STORE, WORKED_LAYOUT, QueryVector(qv)))
+            frame = read_frame(conn)
+            assert frame.msg_type == MSG_ERROR
+            assert decode_error(frame.payload)[0] == wire.ERR_MALFORMED
+            assert read_frame(conn) is None
+        finally:
+            conn.close()
+            handle.stop()
+
+    @pytest.mark.parametrize("transport_name", ["memory", "tcp"])
+    def test_client_hangs_up_on_a_refill(self, monkeypatch, transport_name):
+        """A client that sends a refill and hangs up unread ends the
+        server thread: nothing waits for the read deadline."""
+        monkeypatch.setattr(transport, "READ_DEADLINE_S", 5.0)
+        baseline = threading.active_count()
+        handle = sim.ServerHandle(0, STORE, WORKED_LAYOUT)
+        conn = (handle.start_memory() if transport_name == "memory"
+                else tcp_connect(handle.start_tcp()))
+        conn.send(encode_hello() + b"".join(
+            encode_query(sid, (sid % 2, 1)) for sid in range(400)))
+        conn.close()
+        t = time.perf_counter()
+        handle.stop()
+        assert time.perf_counter() - t < 2.0
+        assert threading.active_count() == baseline
+
 def faulty_server(fault, after):
     """A serve_connection stand-in: database 0 answers `after` queries
     correctly, then misbehaves on every later one; the others are real."""
@@ -627,6 +711,73 @@ class TestChannelConnection:
         assert client.recv_into(buf) == 3 and buf == b"cde"
         assert client.recv(8) == b"fgh"
 
+
+
+READ_AHEAD = transport.IN_FLIGHT_BYTES // 2
+READ_SIZES = st.one_of(st.integers(1, 3 * READ_AHEAD),
+                       st.sampled_from([1, 4, READ_AHEAD - 1, READ_AHEAD,
+                                        READ_AHEAD + 1]))
+
+
+class TestSocketReadAhead:
+    """The socket reads through a read-ahead buffer of READ_AHEAD bytes;
+    recv_into reads past it once it is drained. Mixed reads must still
+    hand out the stream byte for byte."""
+
+    @given(size=st.integers(1, 4 * READ_AHEAD),
+           writes=st.lists(st.integers(1, 2 * READ_AHEAD), max_size=4),
+           reads=st.lists(st.tuples(st.booleans(), READ_SIZES),
+                          min_size=1, max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_reads_return_the_stream(self, size, writes, reads):
+        data = random.Random(size).randbytes(size)
+        listener = TcpListener()
+        client = tcp_connect(listener.port)
+        server = listener.accept()
+        listener.close()
+        try:
+            at = 0
+            for n in writes:
+                server.send(data[at:at + n])
+                at += n
+            server.send(data[at:])
+            server.close()
+            got = bytearray()
+            i = 0
+            while True:
+                into, n = reads[i % len(reads)]
+                i += 1
+                if into:
+                    buf = bytearray(n)
+                    chunk = buf[:client.recv_into(buf)]
+                else:
+                    chunk = client.recv(n)
+                assert len(chunk) <= n
+                if not chunk:
+                    break
+                got += chunk
+            assert got == data
+            assert client.recv(8) == b""
+            assert client.recv_into(bytearray(8)) == 0
+        finally:
+            client.close()
+
+    def test_recv_and_recv_into_share_the_stream(self):
+        listener = TcpListener()
+        client = tcp_connect(listener.port)
+        server = listener.accept()
+        listener.close()
+        try:
+            server.send(b"abcdefgh")
+            buf = bytearray(3)
+            assert client.recv(2) == b"ab"
+            assert client.pending()
+            assert client.recv_into(buf) == 3 and buf == b"cde"
+            assert client.recv(8) == b"fgh"
+            assert not client.pending()
+        finally:
+            client.close()
+            server.close()
 
 class TestReadDeadline:
     def test_memory_client_end_times_out(self, monkeypatch):
