@@ -22,7 +22,7 @@ from .scheme import (Answer, MessageStore, PartitionLayout, PathChoice,
                      answer, classify_base, decode, expected_cost,
                      layout_for_key_bits, make_queries, path_distribution,
                      plan_partition, residual_view, sample_path,
-                     session_download_bits, structure_probability)
+                     session_download_bits)
 from .seeding import derive_seed, derived_rng
 
 __version__ = "0.1.0"

@@ -230,6 +230,12 @@ def _regime(params: SystemParams, d1: float, cost: float) -> RegimeInfo:
     return RegimeInfo(Regime.GENERAL, None)
 
 
+# The columns of a BoundsReport row, as bounds and sweep print them.
+BOUNDS_FIELDS = ("n", "k", "eps", "delta", "d_upper", "d_lower", "alpha1",
+                 "alpha2", "delta1", "delta2", "gap_ratio", "gap_cap",
+                 "regime", "reference_cost")
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Everything the bound layer knows about one parameter point."""
@@ -246,23 +252,16 @@ class BoundsReport:
     regime: Regime
     reference_cost: Optional[float]
 
+    def row(self) -> tuple:
+        """The values of BOUNDS_FIELDS, in that order."""
+        p = self.params
+        return (p.n_databases, p.n_messages, p.eps, p.delta, self.d_upper,
+                self.d_lower, self.alpha1, self.alpha2, self.delta1,
+                self.delta2, self.gap_ratio, self.gap_cap, self.regime.value,
+                self.reference_cost)
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.params.n_databases,
-            "k": self.params.n_messages,
-            "eps": self.params.eps,
-            "delta": self.params.delta,
-            "d_upper": self.d_upper,
-            "d_lower": self.d_lower,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "gap_ratio": self.gap_ratio,
-            "gap_cap": self.gap_cap,
-            "regime": self.regime.value,
-            "reference_cost": self.reference_cost,
-        }
+        return dict(zip(BOUNDS_FIELDS, self.row()))
 
 
 def bounds_report(params: SystemParams) -> BoundsReport:

@@ -14,24 +14,23 @@ configuration and seed: reruns produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from typing import Callable
+from contextlib import nullcontext
+from itertools import chain
+from typing import Callable, Sequence
 
 from . import bounds as bnd
 from . import leakage as lk
 from . import netsim
+from .bounds import BOUNDS_FIELDS
 from .params import SystemParams
+from .rows import write_rows
 from .scheme import path_distribution, plan_partition
 from .selfcheck import default_message_bits, run_all
 
 ENV_PREFIX = "ALPIR_"
-
-BOUNDS_FIELDS = ["n", "k", "eps", "delta", "d_upper", "d_lower", "alpha1",
-                 "alpha2", "delta1", "delta2", "gap_ratio", "gap_cap",
-                 "regime", "reference_cost"]
 
 
 def _bool_cast(text: str) -> bool:
@@ -149,40 +148,6 @@ def resolve_config(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-class _Writer:
-    """Rows to stdout or --out, one record per line, stable field order."""
-
-    def __init__(self, cfg: dict, fields: list[str]):
-        self.fields = fields
-        self.fmt = cfg["format"]
-        self.path = cfg["out"]
-        self.fh = open(self.path, "w") if self.path else sys.stdout
-
-    def header(self) -> None:
-        if self.fmt == "csv":
-            self.fh.write(",".join(self.fields) + "\n")
-
-    def row(self, record: dict) -> None:
-        if self.fmt == "csv":
-            self.fh.write(",".join(_cell(record[f]) for f in self.fields)
-                          + "\n")
-        else:
-            self.fh.write(json.dumps({f: record[f] for f in self.fields},
-                                     sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        if self.path:
-            self.fh.close()
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _single_int(cfg: dict, key: str) -> int:
     values = _int_list(str(cfg[key]))
     if len(values) != 1:
@@ -213,21 +178,18 @@ def _bounds_rows(cfg: dict, n_values: list[int], k_values: list[int]):
             for eps in eps_values:
                 for delta in delta_values:
                     params = SystemParams(n, k, l, eps, delta)
-                    report = bnd.bounds_report(params)
-                    yield report.to_dict()
+                    yield bnd.bounds_report(params).row()
 
 
-def _emit(cfg: dict, fields: list[str], rows) -> int:
+def _emit(cfg: dict, fields: Sequence[str], rows) -> int:
     """Stream rows after probing the first, so bad parameters fail
     before anything lands on stdout or in --out."""
     first = next(rows, None)
-    writer = _Writer(cfg, fields)
-    writer.header()
     if first is not None:
-        writer.row(first)
-        for row in rows:
-            writer.row(row)
-    writer.close()
+        rows = chain((first,), rows)
+    with (open(cfg["out"], "w") if cfg["out"]
+          else nullcontext(sys.stdout)) as fh:
+        write_rows(fh, fields, rows, cfg["format"])
     return 0
 
 
@@ -243,8 +205,7 @@ def _single_server_table(cfg: dict, k: int) -> int:
     def rows():
         for delta in _grid_values(cfg, "delta"):
             outcome = bnd.single_server_cost(k, delta)
-            yield {"k": k, "delta": delta, "feasible": outcome.feasible,
-                   "cost": outcome.cost}
+            yield k, delta, outcome.feasible, outcome.cost
 
     return _emit(cfg, ["k", "delta", "feasible", "cost"], rows())
 
@@ -306,11 +267,7 @@ def cmd_simulate(cfg: dict) -> int:
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
 
     if cfg["out"]:
-        fields = netsim.CSV_HEADER.split(",")
-        _emit(cfg, fields, (
-            dict(zip(fields, (r.session_id, r.desired, r.path_class.value,
-                              r.bits_downloaded, r.leaked_bits)))
-            for r in stats.records))
+        _emit(cfg, netsim.SESSION_FIELDS, netsim.session_rows(stats.records))
     return 0 if ok else 1
 
 

@@ -1,8 +1,9 @@
 """Client/server protocol simulation: wire format, transports, sessions."""
 
-from .sim import (CSV_HEADER, ServerHandle, SessionError, SessionRecord,
-                  TrialStats, deployment, provision, records_to_csv,
-                  retrieve, run_trials, serve_connection)
+from .sim import (CSV_HEADER, SESSION_FIELDS, ServerHandle, SessionError,
+                  SessionRecord, TrialStats, deployment, provision,
+                  records_to_csv, retrieve, run_trials, serve_connection,
+                  session_rows)
 from .transport import (ChannelConnection, SocketConnection, TcpListener,
                         memory_pair, tcp_connect)
 from .wire import (ERR_BAD_QUERY, ERR_MALFORMED, ERR_UNKNOWN_TYPE,

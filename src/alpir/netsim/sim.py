@@ -19,19 +19,19 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .. import bits
 from ..bits import BitString
 from ..params import SystemParams
+from ..rows import write_rows
 from ..scheme import (MessageStore, PartitionLayout, PathClass,
-                      PathDistribution, QueryVector, answer, decode,
-                      make_queries, path_distribution, plan_partition,
-                      sample_path)
+                      PathDistribution, QueryVector, decode, make_queries,
+                      path_distribution, plan_partition, sample_path)
 from ..seeding import derived_rng
 from . import transport, wire
 from .transport import (IN_FLIGHT_BYTES, TcpListener, memory_pair,
                         tcp_connect)
 
-CSV_HEADER = "session_id,desired,class,bits,leaked_bits"
+SESSION_FIELDS = ("session_id", "desired", "class", "bits", "leaked_bits")
+CSV_HEADER = ",".join(SESSION_FIELDS)
 
 
 class SessionError(Exception):
@@ -46,10 +46,6 @@ class SessionRecord:
     bits_downloaded: int
     decode_ok: bool
     leaked_bits: int
-
-    def to_csv_row(self) -> str:
-        return (f"{self.session_id},{self.desired},{self.path_class.value},"
-                f"{self.bits_downloaded},{self.leaked_bits}")
 
 
 def provision(params: SystemParams, layout: PartitionLayout,
@@ -70,13 +66,7 @@ def serve_connection(db_index: int, store: MessageStore,
     Replies wait while the connection has input pending (a refill's
     queries arrive together), then go out in one write, as they do before
     the connection closes; without `pending`, each goes out at once.
-
-    A layout with a part BitString keeps packed has each answer folded
-    straight into its frame (wire.answer_frame); narrower answers are
-    folded as ints and encoded by wire.encode_answer.
     """
-    in_frame = (max(layout.key_bits, layout.open_subpacket_bits) + 7
-                >> 3 >= bits._PACKED_MIN_BYTES)
     pending = getattr(conn, "pending", None)
     held: list = []
     reply = held.append
@@ -106,17 +96,11 @@ def serve_connection(db_index: int, store: MessageStore,
                     reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                     continue
                 try:
-                    if in_frame:
-                        data = wire.answer_frame(session_id, store, layout,
-                                                 QueryVector(indices))
-                    else:
-                        data = wire.encode_answer(session_id, answer(
-                            store, layout, QueryVector(indices)))
+                    reply(wire.answer_frame(session_id, store, layout,
+                                            QueryVector(indices)))
                 except ValueError:
                     reply(wire.encode_error(
                         wire.ERR_BAD_QUERY, "query vector out of range"))
-                    continue
-                reply(data)
             else:
                 reply(wire.encode_error(
                     wire.ERR_UNKNOWN_TYPE,
@@ -189,7 +173,11 @@ class ServerHandle:
 @contextmanager
 def deployment(params: SystemParams, layout: PartitionLayout,
                store: MessageStore, transport: str = "memory"):
-    """Bring up N servers and yield N connected, greeted client endpoints."""
+    """Bring up N servers and yield N connected, greeted client endpoints.
+
+    Raises ValueError, before any server starts, when the layout's
+    answers do not fit in one frame."""
+    _answer_frame_bytes(layout)
     handles = [ServerHandle(d, store, layout)
                for d in range(params.n_databases)]
     conns = []
@@ -321,12 +309,23 @@ def retrieve(params: SystemParams, layout: PartitionLayout, desired: int,
     return _finish_session(layout, conns, pending, expected)
 
 
+def _answer_frame_bytes(layout: PartitionLayout) -> int:
+    """Length of the layout's largest Answer frame; ValueError when its
+    body exceeds wire.MAX_FRAME_BYTES, which no server could send."""
+    size = wire.answer_frame_bytes(layout.key_bits,
+                                   layout.open_subpacket_bits)
+    if size - 4 > wire.MAX_FRAME_BYTES:
+        raise ValueError(
+            f"answer frames of {size - 4} bytes exceed the "
+            f"{wire.MAX_FRAME_BYTES}-byte frame limit; lower l")
+    return size
+
+
 def pipeline_window(params: SystemParams, layout: PartitionLayout) -> int:
     """Sessions `run_trials` keeps in flight: as many as IN_FLIGHT_BYTES
     holds of one query frame plus the largest answer frame."""
     session = (wire.query_frame_bytes(params.n_messages)
-               + wire.answer_frame_bytes(layout.key_bits,
-                                         layout.open_subpacket_bits))
+               + _answer_frame_bytes(layout))
     return max(1, IN_FLIGHT_BYTES // session)
 
 
@@ -366,19 +365,21 @@ def run_trials(trials: int, params: SystemParams, seed: int,
     therefore always fit in the socket buffers, so a server never blocks
     sending while the client blocks sending, and the two cannot deadlock.
     The same budget bounds what the memory transport's unbounded queues
-    hold. A shape whose one session exceeds the budget runs lock-step.
+    hold. A shape whose one session exceeds the budget runs lock-step,
+    and one whose answer frame exceeds wire.MAX_FRAME_BYTES raises
+    ValueError before the store is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if layout is None:
         layout = plan_partition(params)
+    window = pipeline_window(params, layout)
     store = provision(params, layout, derived_rng(seed, "store"))
     records = []
     structure_counts: dict = {}
     per_message: dict = {}
     upload_bits = 0
     dist = path_distribution(params)
-    window = pipeline_window(params, layout)
     in_flight: deque[_Pending] = deque()
     with deployment(params, layout, store, transport) as conns:
         sent = 0
@@ -419,7 +420,11 @@ def run_trials(trials: int, params: SystemParams, seed: int,
     )
 
 
+def session_rows(records: Sequence[SessionRecord]):
+    """The values of SESSION_FIELDS for each record, in that order."""
+    return ((r.session_id, r.desired, r.path_class.value, r.bits_downloaded,
+             r.leaked_bits) for r in records)
+
+
 def records_to_csv(records: Sequence[SessionRecord], fh) -> None:
-    fh.write(CSV_HEADER + "\n")
-    for r in records:
-        fh.write(r.to_csv_row() + "\n")
+    write_rows(fh, SESSION_FIELDS, session_rows(records))

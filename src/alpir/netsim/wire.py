@@ -28,8 +28,8 @@ bits._PACKED_MIN_BYTES into one buffer with the connection's recv_into
 (connections with only recv get their chunks joined), its payload is a
 read-only memoryview of that buffer, and decode_answer hands out
 BitString views of it. Smaller frames are read with recv into a bytes
-payload, which is cheaper to make and to slice, and their answers are
-built by encode_answer.
+payload, which is cheaper to make and to slice, and answer_frame builds
+their answers with encode_answer.
 """
 
 from __future__ import annotations
@@ -194,12 +194,17 @@ def answer_frame_bytes(masked_bits: int, open_bits: int) -> int:
     return 5 + 8 + 4 + (masked_bits + 7) // 8 + 4 + (open_bits + 7) // 8
 
 
-def answer_frame(session_id: int, store, layout, query) -> np.ndarray:
-    """The Answer frame of scheme.answer(store, layout, query), with the
-    parts folded straight into its body: one uninitialised buffer whose
-    every byte is written once. Byte-identical to
-    encode_answer(session_id, answer(...)), and raises what they raise.
+def answer_frame(session_id: int, store, layout, query):
+    """The Answer frame of scheme.answer(store, layout, query), as
+    encode_answer(session_id, answer(...)) gives it, raising what they
+    raise. A layout with a part BitString keeps packed has its parts
+    folded straight into the frame's body: one uninitialised numpy buffer
+    whose every byte is written once. Narrower answers are folded as ints
+    and encoded into bytes.
     """
+    if (max(layout.key_bits, layout.open_subpacket_bits) + 7
+            >> 3 < bits._PACKED_MIN_BYTES):
+        return encode_answer(session_id, answer(store, layout, query))
     if not 0 <= session_id < 1 << 64:
         raise ValueError("session_id out of range")
     frame = None

@@ -224,18 +224,6 @@ def sample_path(dist: PathDistribution, desired: int, rng) -> PathChoice:
                       desired, PathClass.HIGH)
 
 
-def structure_probability(dist: PathDistribution, indices: Sequence[int],
-                          desired: int) -> float:
-    """P(a given database receives query vector `indices` | desired).
-
-    The same for every database: p when all off-desired coordinates are
-    zero, q otherwise.
-    """
-    if any(indices[j] for j in range(len(indices)) if j != desired):
-        return dist.q
-    return dist.p
-
-
 @dataclass(frozen=True)
 class QueryVector:
     indices: tuple[int, ...]

@@ -170,6 +170,16 @@ class TestSweepCommand:
         assert code == 2
         assert "bounds --n 1" in err
 
+    def test_bad_first_row_opens_no_out_file(self, capsys, tmp_path):
+        """The first row is built before --out is opened, so a bad
+        parameter leaves no file behind."""
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--k", "2",
+                                 "--delta", "-1", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert not out_path.exists()
+
 
 class TestSimulateCommand:
     EPS = str(math.log(1.5))
@@ -214,6 +224,17 @@ class TestSimulateCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_oversize_answer_frames_fail_cleanly(self, capsys):
+        """An answer frame of 17,500,018 bytes, past wire.MAX_FRAME_BYTES,
+        once ended in a server thread's traceback and then the client's.
+        It is now one error line, before any store is drawn."""
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "2",
+                                 "--l", "140000000", "--eps", "0.5",
+                                 "--delta", "0.1", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: answer frames of 17500018 bytes exceed the "
+                       "16777216-byte frame limit; lower l\n")
 
 
 class TestVerifyCommand:

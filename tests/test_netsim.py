@@ -285,6 +285,11 @@ class TestCsvExport:
         assert first[2] in ("Low", "High")
         assert first[3] in ("4", "6")
 
+    def test_no_records_write_the_header(self):
+        buf = io.StringIO()
+        records_to_csv([], buf)
+        assert buf.getvalue() == CSV_HEADER + "\n"
+
 
 class TestNonCollusion:
     def test_server_handler_sees_one_connection_only(self):
@@ -678,6 +683,26 @@ class TestStalledWideBody:
             with pytest.raises(SessionError, match="deadline"):
                 retrieve(params, layout, 0, conns, random.Random(0))
         assert time.perf_counter() - t < 1.5
+
+
+class TestOversizeAnswers:
+    """A layout whose answer frame is past wire.MAX_FRAME_BYTES is refused
+    with ValueError before a store is drawn or a server starts."""
+
+    PARAMS = SystemParams(2, 2, 140_000_000, 0.5, 0.1)
+
+    def test_run_trials_refuses_before_provisioning(self, monkeypatch):
+        monkeypatch.setattr(sim, "provision", lambda *a: pytest.fail(
+            "store provisioned"))
+        with pytest.raises(ValueError, match="frame limit"):
+            run_trials(1, self.PARAMS, seed=0)
+
+    def test_deployment_refuses_before_serving(self, monkeypatch):
+        monkeypatch.setattr(sim, "ServerHandle", lambda *a: pytest.fail(
+            "server started"))
+        with pytest.raises(ValueError, match="frame limit"):
+            with deployment(self.PARAMS, plan_partition(self.PARAMS), None):
+                pass
 
 
 class TestChannelConnection:

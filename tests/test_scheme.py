@@ -16,7 +16,7 @@ from alpir import (BitString, MessageStore, PathClass, SystemParams, answer,
                    classify_base, decode, derived_rng, expected_cost,
                    layout_for_key_bits, make_queries, path_distribution,
                    plan_partition, residual_view, sample_path,
-                   session_download_bits, structure_probability)
+                   session_download_bits)
 from alpir.scheme import Answer, PathChoice, QueryVector
 
 EXACT = 1e-12
@@ -136,13 +136,6 @@ class TestPathDistribution:
             dist = path_distribution(SystemParams(n, k, n - 1, 0.7, 0.0))
             total = n * dist.p + (n ** k - n) * dist.q
             assert total == pytest.approx(1.0, abs=EXACT)
-
-    def test_structure_probability(self):
-        dist = path_distribution(WORKED)
-        assert structure_probability(dist, (1, 0), 0) == pytest.approx(
-            0.3, abs=EXACT)
-        assert structure_probability(dist, (1, 1), 0) == pytest.approx(
-            0.2, abs=EXACT)
 
 
 class TestPathSampling:
