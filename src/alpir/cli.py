@@ -2,7 +2,9 @@
 
 Subcommands: bounds (closed-form table for one system shape), sweep (the
 same table over lists of shapes), simulate (wire-level sessions plus
-privacy audits), verify (self-checking suite).
+privacy audits), verify (self-checking suite). Every table, and the
+session records of simulate --out, is written by rows.write_rows, to
+stdout or --out, once its first row has been built.
 
 Configuration precedence: command-line flags, then ALPIR_* environment
 variables, then an optional key=value config file (--config), then

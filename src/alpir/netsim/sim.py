@@ -427,4 +427,4 @@ def session_rows(records: Sequence[SessionRecord]):
 
 
 def records_to_csv(records: Sequence[SessionRecord], fh) -> None:
-    write_rows(fh, SESSION_FIELDS, session_rows(records))
+    write_rows(fh, SESSION_FIELDS, session_rows(records), "csv")

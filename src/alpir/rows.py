@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 
 def write_rows(fh, fields: Sequence[str], rows: Iterable[Sequence],
-               fmt: str = "csv") -> None:
+               fmt: str) -> None:
     write = fh.write
     if fmt == "csv":
         write(",".join(fields) + "\n")
