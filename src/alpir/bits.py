@@ -140,24 +140,13 @@ class BitString:
 
     def _operand(self):
         """What `scheme.answer` XOR-folds for this string: its int when
-        narrow, a read-only uint8 array of its packed bytes when wide.
-        `x ^= y` works on either and writes arrays in place, so a fold
-        starts from `0 ^ x`: that copies an array, and the in-place XORs
-        after it never write into the operand itself."""
+        narrow, a read-only uint8 array of its packed bytes when wide, so
+        that no fold writes into it."""
         if (self.nbits + 7) >> 3 < _PACKED_MIN_BYTES:
             return self.value
         arr = self._array()
         arr.flags.writeable = False
         return arr
-
-    @staticmethod
-    def _of_operand(x, nbits: int) -> "BitString":
-        """The string of a fold result: an int, or a uint8 array that
-        nobody else writes. (A staticmethod: `answer` calls this twice
-        per query, and binding a classmethod cost about 0.1 us more.)"""
-        if type(x) is int:
-            return BitString(x, nbits)
-        return BitString._of_packed(x, nbits)
 
     def __len__(self) -> int:
         return self.nbits

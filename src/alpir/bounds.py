@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from enum import Enum
 from typing import Optional
 
@@ -65,16 +66,23 @@ def _forms(params: SystemParams) -> tuple:
     scaled by 2^-s, F = N e^eps and 1 by 2^-u, F^(K-1) and 1 by 2^-t (from
     F^K), so it keeps its bits wherever its unscaled terms fit in a double.
     Past that, F^(K-1) is estimated, next to terms 2^1024 times larger.
-    delta = 0 is below both thresholds, positive for finite eps."""
+    delta = 0 is below both thresholds, positive for finite eps. delta is
+    compared with a delta1 below the normal doubles exactly."""
     _require_multi_db(params)
     n, k, delta = params.n_databases, params.n_messages, params.delta
     if math.isinf(params.eps):
         return (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
-    m = n ** (k - 1)
-    s, e, one = scaled_terms(params.eps, m)
-    m1, m = (m - 1) / (1 << s), m / (1 << s)
+    big = n ** (k - 1)
+    s, e, one = scaled_terms(params.eps, big)
+    m1, m = (big - 1) / (1 << s), big / (1 << s)
     d1 = m1 / ((n - 1) * (e + m - one))
-    upper = (d1, 0.0, 1.0 + d1) if 0 < delta >= d1 else (
+    flat = 0 < delta >= d1
+    if 0 < delta and d1 < 2.0 ** -1022:
+        # A subnormal d1 has too few bits to be compared with delta: decide
+        # delta >= (M-1) / ((N-1)(e 2^s + M - 1)) exactly instead.
+        flat = (Fraction(delta) * (n - 1) * (Fraction(e) * (1 << s) + big - 1)
+                >= big - 1)
+    upper = (d1, 0.0, 1.0 + d1) if flat else (
         d1, max(0.0, 1.0 / (n - 1) - delta * (e + m - one) / m1),
         1.0 + 1.0 / (n - 1) - delta * e / m1)
     u, e, ou = scaled_terms(params.eps, 1)

@@ -33,6 +33,7 @@ from .scheme import path_distribution, plan_partition
 from .selfcheck import default_message_bits, run_all
 
 ENV_PREFIX = "ALPIR_"
+FORMATS = ("csv", "json-lines")
 
 
 def _bool_cast(text: str) -> bool:
@@ -93,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="session count")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="write rows here instead of stdout")
-        p.add_argument("--format", choices=["csv", "json-lines"],
-                       help="row format")
+        p.add_argument("--format", choices=FORMATS, help="row format")
         p.add_argument("--config", help="key=value config file")
 
     p_bounds = sub.add_parser(
@@ -147,6 +147,9 @@ def resolve_config(ns: argparse.Namespace) -> dict:
         if key in ("command", "config") or value is None:
             continue
         cfg[key] = value
+    if cfg["format"] not in FORMATS:
+        raise ValueError(f"unknown format {cfg['format']!r}; "
+                         f"choose from {', '.join(FORMATS)}")
     return cfg
 
 

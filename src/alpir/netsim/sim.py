@@ -29,13 +29,10 @@ from ..seeding import derived_rng
 from . import transport, wire
 from .transport import (IN_FLIGHT_BYTES, TcpListener, memory_pair,
                         tcp_connect)
+from .wire import SessionError
 
 SESSION_FIELDS = ("session_id", "desired", "class", "bits", "leaked_bits")
 CSV_HEADER = ",".join(SESSION_FIELDS)
-
-
-class SessionError(Exception):
-    """A retrieval session failed; nothing was partially decoded."""
 
 
 @dataclass(frozen=True)
@@ -70,41 +67,46 @@ def serve_connection(db_index: int, store: MessageStore,
     pending = getattr(conn, "pending", None)
     held: list = []
     reply = held.append
+    k = len(store.messages)
     try:
         while True:
             if held and (pending is None or not pending()):
                 conn.send(held[0] if len(held) == 1 else b"".join(held))
                 held.clear()
             try:
-                frame = wire.read_frame(conn)
+                frame = wire.read_query(conn, k)
             except wire.WireError as exc:
                 reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
                 return
             if frame is None:
                 return
-            if frame.msg_type == wire.MSG_HELLO:
-                try:
-                    wire.decode_hello(frame.payload)
-                except wire.WireError as exc:
-                    reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
+            if type(frame) is wire.WireFrame:
+                if frame.msg_type == wire.MSG_HELLO:
+                    try:
+                        wire.decode_hello(frame.payload)
+                    except wire.WireError as exc:
+                        reply(wire.encode_error(wire.ERR_MALFORMED,
+                                                str(exc)))
+                        continue
+                    reply(wire.encode_hello())
                     continue
-                reply(wire.encode_hello())
-            elif frame.msg_type == wire.MSG_QUERY:
-                try:
-                    session_id, indices = wire.decode_query(frame.payload)
-                except wire.WireError as exc:
-                    reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
-                    continue
-                try:
-                    reply(wire.answer_frame(session_id, store, layout,
-                                            QueryVector(indices)))
-                except ValueError:
+                if frame.msg_type != wire.MSG_QUERY:
                     reply(wire.encode_error(
-                        wire.ERR_BAD_QUERY, "query vector out of range"))
-            else:
+                        wire.ERR_UNKNOWN_TYPE,
+                        f"unknown message type {frame.msg_type:#x}"))
+                    continue
+                try:
+                    frame = wire.decode_query(frame.payload)
+                except wire.WireError as exc:
+                    reply(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
+                    continue
+            session_id, indices = frame
+            try:
+                reply(wire.answer_frame(session_id, store, layout,
+                                        QueryVector(indices)))
+            except ValueError:
                 reply(wire.encode_error(
-                    wire.ERR_UNKNOWN_TYPE,
-                    f"unknown message type {frame.msg_type:#x}"))
+                    wire.ERR_BAD_QUERY, "query vector out of range"))
     except OSError:
         return
     finally:
@@ -252,8 +254,9 @@ def _finish_session(layout: PartitionLayout, conns: Sequence,
                     ) -> tuple[BitString, SessionRecord]:
     """Second half of a session: read the N answers, decode, record.
 
-    Each answer's part widths must be exactly what its query asks for: s
-    masked bits, and w open bits unless the query is all zeros. Then every
+    wire.read_answer takes each answer only with the part widths its
+    query asks for: s masked bits, and w open bits unless the query is
+    all zeros. Then every
     check of `residual_view` holds by construction, since decode's own
     XORs are what it would XOR back out: a high-cost path leaves one w-bit
     residual (the open part of the answer whose desired coordinate is 0)
@@ -263,26 +266,10 @@ def _finish_session(layout: PartitionLayout, conns: Sequence,
     answers = []
     high = pending.path_class is PathClass.HIGH
     for qv, t in zip(pending.queries, pending.targets):
-        try:
-            frame = wire.read_frame(conns[t])
-        except OSError as exc:          # TimeoutError at the read deadline
-            raise SessionError(f"read failed: {exc}") from None
-        if frame is None:
-            raise SessionError("connection closed mid-session")
-        if frame.msg_type == wire.MSG_ERROR:
-            code, text = wire.decode_error(frame.payload)
-            raise SessionError(f"server error {code}: {text}")
-        if frame.msg_type != wire.MSG_ANSWER:
-            raise SessionError(f"unexpected frame type {frame.msg_type:#x}")
-        sid, ans = wire.decode_answer(frame.payload)
-        if sid != pending.session_id:
-            raise SessionError("answer for a different session")
-        open_bits = (layout.open_subpacket_bits
-                     if high or qv.indices[pending.desired] else 0)
-        if (ans.masked.nbits != layout.key_bits
-                or ans.open.nbits != open_bits):
-            raise SessionError("answer part widths do not match layout")
-        answers.append(ans)
+        answers.append(wire.read_answer(
+            conns[t], pending.session_id, layout.key_bits,
+            layout.open_subpacket_bits
+            if high or qv.indices[pending.desired] else 0))
     decoded = decode(answers, pending.queries, pending.desired)
     bits_down = sum(a.masked.nbits + a.open.nbits for a in answers)
     ok = decoded == expected if expected is not None else True

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import bits
 from .bits import BitString
 from .bounds import alpha1_rate, scaled_terms
 from .params import SystemParams
@@ -104,7 +105,9 @@ def plan_partition(params: SystemParams) -> PartitionLayout:
 
     The key rate alpha1 is quantized to whole bits by rounding up, so the
     realized leakage never exceeds the delta budget (up to the ceiling
-    guard); the realized download cost can only improve on the bound.
+    guard). The realized download cost is d_upper at the layout's
+    effective_delta, which can exceed d_upper at delta by up to
+    low_total / L.
     """
     alpha = alpha1_rate(params)
     key_bits = math.ceil(alpha * params.message_bits - CEIL_GUARD)
@@ -235,9 +238,12 @@ class MessageStore:
 
     messages: tuple[BitString, ...]
     key: BitString
-    # layout -> subpacket table, filled on first use by subpacket_table.
+    # layout -> subpacket table, filled on first use by subpacket_table,
+    # and the last (layout, table) it returned.
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _last: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def random(cls, params: SystemParams, layout: PartitionLayout,
@@ -247,26 +253,42 @@ class MessageStore:
         return cls(msgs, BitString.random(layout.key_bits, rng))
 
     def subpacket_table(self, layout: PartitionLayout) -> tuple:
-        """(key, rows): the fold operands `answer` XORs.
+        """(key, rows, narrow): the fold operands `answer` XORs.
 
-        Row k, entry v-1 holds layout.subpacket(message k, 1, v) and
-        layout.subpacket(message k, 2, v). Each operand is an int, or a
-        read-only uint8 array of packed bytes for a wide part (see
-        `bits`). The table is built on first use and lives as long as the
-        store; it holds one more copy of the messages. Servers share a
-        store across threads, and a race only builds the same table twice.
+        Entry v of row k stands for subpacket v of message k's masked
+        part m and open part o; entry 0 for index 0, which selects
+        nothing. On a narrow layout, whose parts are both under
+        bits._PACKED_MIN_BYTES, entry v is the int m << w | o and entry 0
+        is 0, and key is the key's int shifted left by w, so an answer is
+        one XOR per row. On other layouts entry v is the pair (m, o), each
+        an int or a read-only uint8 array of packed bytes for a wide part
+        (see `bits`), and key is the key's operand. The table is built on
+        first use and lives as long as the store; it holds one more copy
+        of the messages. Servers share a store across threads, and a race
+        only builds the same table twice. The last layout asked for is
+        found again by identity, without hashing it.
         """
+        last = self._last
+        if last[0] is layout:
+            return last[1]
         table = self._tables.get(layout)
         if table is None:
             if self.key.nbits != layout.masked_subpacket_bits:
                 raise ValueError("key width does not match layout")
-            rows = tuple(
-                tuple((layout.subpacket(m, 1, v)._operand(),
-                       layout.subpacket(m, 2, v)._operand())
-                      for v in range(1, layout.subpackets_per_part + 1))
-                for m in self.messages)
+            w = layout.open_subpacket_bits
+            narrow = (max(layout.masked_subpacket_bits, w) + 7
+                      >> 3 < bits._PACKED_MIN_BYTES)
+            rows = []
+            for m in self.messages:
+                pairs = [(layout.subpacket(m, 1, v)._operand(),
+                          layout.subpacket(m, 2, v)._operand())
+                         for v in range(1, layout.subpackets_per_part + 1)]
+                rows.append((0, *(a << w | b for a, b in pairs)) if narrow
+                            else (None, *pairs))
+            key = self.key.value << w if narrow else self.key._operand()
             table = self._tables.setdefault(layout,
-                                            (self.key._operand(), rows))
+                                            (key, tuple(rows), narrow))
+        object.__setattr__(self, "_last", (layout, table))
         return table
 
 
@@ -289,6 +311,27 @@ class Answer:
     open: BitString
 
 
+def narrow_fold(store: MessageStore, layout: PartitionLayout,
+                query: QueryVector) -> Optional[tuple[int, int]]:
+    """Check the query as `answer` does. On a narrow layout (see
+    MessageStore.subpacket_table), return its answer as one int, masked
+    << w | open with w the layout's open width, and the open part's width:
+    w, or 0 for the all-zero query. Return None on other layouts.
+    """
+    indices = query.indices
+    if len(indices) != len(store.messages):
+        raise ValueError("query length does not match message count")
+    top = max(indices, default=0)
+    if min(indices, default=0) < 0 or top > layout.subpackets_per_part:
+        raise ValueError("query index out of range")
+    c, rows, narrow = store.subpacket_table(layout)
+    if not narrow:
+        return None
+    for row, v in zip(rows, indices):
+        c ^= row[v]
+    return c, layout.open_subpacket_bits if top else 0
+
+
 def answer(store: MessageStore, layout: PartitionLayout,
            query: QueryVector, into=None) -> Answer:
     """Evaluate one query against the store.
@@ -304,27 +347,23 @@ def answer(store: MessageStore, layout: PartitionLayout,
     there by numpy: the first XOR writes every byte, so the arrays need
     not be zeroed. A narrow part is folded as an int, then copied in.
     """
+    folded = narrow_fold(store, layout, query)
+    if folded is not None:
+        c, open_bits = folded
+        w = layout.open_subpacket_bits
+        parts = (BitString(c >> w, store.key.nbits),
+                 BitString(c & ((1 << w) - 1), open_bits))
+        if into is not None:
+            for part, out in zip(parts, into(store.key.nbits, open_bits)):
+                out[:] = part._array()
+        return Answer(*parts)
+    key, rows, _ = store.subpacket_table(layout)
     indices = query.indices
-    if len(indices) != len(store.messages):
-        raise ValueError("query length does not match message count")
-    top = max(indices, default=0)
-    if min(indices, default=0) < 0 or top > layout.subpackets_per_part:
-        raise ValueError("query index out of range")
-    key, rows = store.subpacket_table(layout)
+    widths = (store.key.nbits, layout.open_subpacket_bits
+              if any(indices) else 0)
     if into is None:
-        # `0 ^ key` keeps the in-place XORs out of the table (see
-        # BitString._operand).
-        masked, open_ = 0 ^ key, 0
-        for row, v in zip(rows, indices):
-            if v:
-                m, o = row[v - 1]
-                masked ^= m
-                open_ ^= o
-        return Answer(BitString._of_operand(masked, store.key.nbits),
-                      BitString._of_operand(
-                          open_, layout.open_subpacket_bits if top else 0))
-    widths = (store.key.nbits, layout.open_subpacket_bits if top else 0)
-    picked = [row[v - 1] for row, v in zip(rows, indices) if v]
+        into = _new_parts
+    picked = [row[v] for row, v in zip(rows, indices) if v]
     parts = []
     for operands, out, nbits in zip(
             ([key] + [m for m, _ in picked], [o for _, o in picked]),
@@ -347,6 +386,11 @@ def answer(store: MessageStore, layout: PartitionLayout,
             part = BitString._of_packed(out, nbits)
         parts.append(part)
     return Answer(*parts)
+
+
+def _new_parts(*widths: int) -> list:
+    """`answer`'s arrays when its caller passes none: fresh ones."""
+    return [np.empty((nbits + 7) >> 3, np.uint8) for nbits in widths]
 
 
 def _desired_zero_index(queries: Sequence[QueryVector], desired: int) -> dict:

@@ -439,8 +439,10 @@ class TestAgainstExactReference:
     to 5000 and every eps a double holds. Each value is within ULP_BOUND
     ulps of its own size; alpha1 and alpha2, whose terms cancel, within
     ULP_BOUND ulps of 1/(N-1) and 1/(F-1). Next to a threshold (two ulps),
-    either branch of the kink passes: a threshold below the normal doubles
-    cannot be placed more finely than their spacing."""
+    either branch of the kink passes, since delta is compared with the
+    rounded threshold. A delta1 below the normal doubles is compared
+    exactly, so there only the rounding of e^eps (2^-50 of delta1) is
+    allowed."""
 
     @given(n=st.integers(2, 256), k=st.integers(2, 5000),
            eps=st.one_of(st.sampled_from(EPS_EDGES),
@@ -463,7 +465,13 @@ class TestAgainstExactReference:
         flips = [(False, False)]
         for side, name in ((0, "delta1"), (1, "delta2")):
             thr = float(ref[name])
-            if thr > 0 and abs(delta - thr) <= 2 * math.ulp(thr):
+            if side == 0 and thr < 2.0 ** -1022:
+                with localcontext(CTX):
+                    near = abs(Decimal(delta) - ref[name]) <= (
+                        ref[name] * Decimal(2.0 ** -50))
+            else:
+                near = abs(delta - thr) <= 2 * math.ulp(thr)
+            if thr > 0 and near:
                 flips += [(not a, b) if side == 0 else (a, not b)
                           for a, b in flips]
         refs = [ref] + [reference_forms(n, k, eps, delta, *f)
@@ -481,6 +489,17 @@ class TestAgainstExactReference:
                       params(n, k, eps, delta + more_delta)):
             assert d_upper(later) <= rep.d_upper * (1 + tol)
             assert d_lower(later) <= rep.d_lower * (1 + tol)
+
+    def test_subnormal_delta1_branch(self):
+        """delta1 rounds to 5 subnormal units here, equal to delta, while
+        the exact delta1 lies above delta: the key is still needed."""
+        n, k, eps, delta = 2, 46, 773.9823886464507, 2.5e-323
+        rep = bounds_report(params(n, k, eps, delta))
+        ref = reference_forms(n, k, eps, delta)
+        assert rep.delta1 == delta < ref["delta1"]
+        assert ulps(rep.alpha1, ref["alpha1"], 1.0) <= ULP_BOUND
+        assert ulps(rep.d_upper, ref["d_upper"], 1.0) <= ULP_BOUND
+        assert round(rep.d_upper, 4) == 1.0391
 
     @given(n=st.integers(2, 256), k=st.integers(2, 5000),
            eps=st.one_of(st.sampled_from(EPS_EDGES),

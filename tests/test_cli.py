@@ -447,6 +447,31 @@ class TestConfigPrecedence:
                                "--config", "/nonexistent/run.cfg")
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_format_from_env_or_config(self, capsys, tmp_path, monkeypatch,
+                                       source):
+        """--format's choices hold wherever the format comes from: a known
+        one is used, and an unknown one exits 2 with one error line before
+        --out is opened."""
+        cfg = tmp_path / "run.cfg"
+        for fmt in ("json-lines", "xml"):
+            args = ["bounds", "--n", "2", "--k", "2"]
+            if source == "env":
+                monkeypatch.setenv("ALPIR_FORMAT", fmt)
+            else:
+                cfg.write_text(f"format = {fmt}\n")
+                args += ["--config", str(cfg)]
+            out_path = tmp_path / f"{fmt}.out"
+            code, out, err = run_cli(capsys, *args, "--out", str(out_path))
+            if fmt == "json-lines":
+                assert (code, out, err) == (0, "", "")
+                assert json.loads(out_path.read_text())["regime"] == "SPIR"
+            else:
+                assert (code, out) == (2, "")
+                assert err == ("error: unknown format 'xml'; "
+                               "choose from csv, json-lines\n")
+                assert not out_path.exists()
+
     def test_bool_cast(self):
         assert _bool_cast("1") and _bool_cast("True") and _bool_cast(" yes ")
         assert not _bool_cast("0") and not _bool_cast("off")

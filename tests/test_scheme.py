@@ -9,15 +9,16 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alpir import (BitString, MessageStore, PathClass, SystemParams, answer,
-                   classify_base, decode, derived_rng, expected_cost,
+                   classify_base, d_upper, decode, delta1_threshold,
+                   derived_rng, expected_cost,
                    layout_for_key_bits, make_queries, path_distribution,
                    plan_partition, residual_view, sample_path,
                    session_download_bits)
-from alpir.scheme import Answer, PathChoice, QueryVector
+from alpir.scheme import CEIL_GUARD, Answer, PathChoice, QueryVector
 
 EXACT = 1e-12
 
@@ -402,6 +403,49 @@ class TestCostAccounting:
             mix = (dist.low_total * low
                    + (1 - dist.low_total) * high) / p.message_bits
             assert expected_cost(p, lay) == pytest.approx(mix, abs=EXACT)
+
+
+    @given(n=st.integers(2, 5), k=st.integers(2, 4), subs=st.integers(1, 64),
+           eps=st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0]),
+                         st.floats(0.0, 8.0)),
+           delta=st.one_of(st.floats(0.0, 1.0),
+                           st.integers(0, 20).map(lambda j: j * 0.05)))
+    @example(n=2, k=2, subs=1, eps=2.0, delta=0.1)
+    @settings(max_examples=300, deadline=None)
+    def test_realized_cost_is_the_bound_at_effective_delta(self, n, k, subs,
+                                                           eps, delta):
+        """plan_partition rounds the key up to whole bits, which keeps the
+        leakage within delta L (up to CEIL_GUARD) but makes the realized
+        cost d_upper at layout.effective_delta, not at delta. That exceeds
+        d_upper(delta) by less than low_total / L: at N=2 K=2 L=1 eps=2
+        delta=0.1 the cost is 2.0 against 1.261.
+
+        Where the key is clamped the excess is known. At key 0 with
+        delta >= delta1 the cost is the flat bound 1 + delta1, so the
+        excess is 0. At key L/(N-1), where delta < high_total / L, every
+        bit is masked and the cost is d_upper(0) = 1 + 1/(N-1), so the
+        excess is delta low_total / high_total. The excess is negative, by
+        at most CEIL_GUARD low_total / L, only where the guard rounds the
+        key down.
+        """
+        params = SystemParams(n, k, subs * (n - 1), eps, delta)
+        layout = plan_partition(params)
+        cost = expected_cost(params, layout)
+        low = path_distribution(params).low_total
+        # effective_delta carries the rounding of 1 - N p into d_upper,
+        # which scales it by e^eps / (N^(K-1) - 1) = low / (1 - low).
+        tol = 4 * math.ulp(2.0) * (1 + low / (1 - low))
+        at_effective = SystemParams(n, k, params.message_bits, eps,
+                                    layout.effective_delta)
+        assert abs(cost - d_upper(at_effective)) <= tol
+        excess = cost - d_upper(params)
+        room = CEIL_GUARD * low / params.message_bits + tol
+        assert -room <= excess < low / params.message_bits + room
+        if layout.key_bits == 0 and delta >= delta1_threshold(params):
+            assert abs(excess) <= tol
+        if layout.key_bits == subs:
+            assert abs(cost - (1 + 1 / (n - 1))) <= tol
+            assert abs(excess - delta * low / (1 - low)) <= room
 
 
 class TestMessageStore:

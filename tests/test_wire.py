@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 
 from alpir import (Answer, BitString, MessageStore, QueryVector, SystemParams,
                    answer, bits, layout_for_key_bits)
-from alpir.netsim import (MAX_FRAME_BYTES, MSG_ANSWER, MSG_ERROR, MSG_HELLO,
-                          MSG_QUERY, PROTOCOL_VERSION, WireError,
+from alpir.netsim import (ERR_BAD_QUERY, ERR_MALFORMED, ERR_UNKNOWN_TYPE,
+                          MAX_FRAME_BYTES, MSG_ANSWER, MSG_ERROR, MSG_HELLO,
+                          MSG_QUERY, PROTOCOL_VERSION, SessionError, WireError,
                           decode_answer, decode_error, decode_hello,
                           decode_query, encode_answer, encode_error,
                           encode_frame, encode_hello, encode_query,
                           memory_pair, parse_frame, read_frame,
                           serve_connection)
 from alpir.netsim.wire import (answer_frame, answer_frame_bytes,
-                               query_frame_bytes)
+                               query_frame_bytes, read_answer)
 
 
 class TestFraming:
@@ -429,3 +430,206 @@ def recv_exactly(conn, n: int) -> bytes:
         assert chunk, "stream ended early"
         out += bytes(chunk)
     return out
+
+
+class Recorder(Trickle):
+    """A Trickle that keeps what is sent to it."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sent = []
+
+    def send(self, data) -> None:
+        self.sent.append(bytes(data))
+
+    def close(self) -> None:
+        pass
+
+
+def general_read_answer(conn, session_id, masked_bits, open_bits):
+    """A session's answer read through read_frame, the type checks,
+    decode_answer and the width check alone: the general path that
+    read_answer's fixed-shape parse must agree with."""
+    try:
+        frame = read_frame(conn)
+    except OSError as exc:
+        raise SessionError(f"read failed: {exc}") from None
+    if frame is None:
+        raise SessionError("connection closed mid-session")
+    if frame.msg_type == MSG_ERROR:
+        code, text = decode_error(frame.payload)
+        raise SessionError(f"server error {code}: {text}")
+    if frame.msg_type != MSG_ANSWER:
+        raise SessionError(f"unexpected frame type {frame.msg_type:#x}")
+    sid, ans = decode_answer(frame.payload)
+    if sid != session_id:
+        raise SessionError("answer for a different session")
+    if ans.masked.nbits != masked_bits or ans.open.nbits != open_bits:
+        raise SessionError("answer part widths do not match layout")
+    return ans
+
+
+def general_serve(store, layout, conn) -> bytes:
+    """Every byte a server sends when each frame goes through read_frame
+    and the decoders, and each answer through encode_answer(answer(...))."""
+    out = []
+    while True:
+        try:
+            frame = read_frame(conn)
+        except WireError as exc:
+            out.append(encode_error(ERR_MALFORMED, str(exc)))
+            return b"".join(out)
+        if frame is None:
+            return b"".join(out)
+        if frame.msg_type == MSG_HELLO:
+            try:
+                decode_hello(frame.payload)
+                out.append(encode_hello())
+            except WireError as exc:
+                out.append(encode_error(ERR_MALFORMED, str(exc)))
+        elif frame.msg_type == MSG_QUERY:
+            try:
+                sid, indices = decode_query(frame.payload)
+            except WireError as exc:
+                out.append(encode_error(ERR_MALFORMED, str(exc)))
+                continue
+            try:
+                out.append(encode_answer(sid, answer(store, layout,
+                                                     QueryVector(indices))))
+            except ValueError:
+                out.append(encode_error(ERR_BAD_QUERY,
+                                        "query vector out of range"))
+        else:
+            out.append(encode_error(
+                ERR_UNKNOWN_TYPE, f"unknown message type {frame.msg_type:#x}"))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the SessionError or WireError
+    it raised."""
+    try:
+        return fn(*args)
+    except (SessionError, WireError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def narrow_stores(draw):
+    """(store, layout, indices) for N 2-5 and K 2-255, with key width 0,
+    open width 0 or both nonzero; indices may be all zero."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 255))
+    per_sub = draw(st.integers(1, 24))
+    key_bits = draw(st.one_of(st.just(0), st.just(per_sub),
+                              st.integers(0, per_sub)))
+    params = SystemParams(n, k, per_sub * (n - 1), 0.5, 0.1)
+    layout = layout_for_key_bits(params, key_bits)
+    store = MessageStore.random(params, layout,
+                                random.Random(draw(st.integers(0, 2 ** 32))))
+    indices = draw(st.one_of(
+        st.just((0,) * k),
+        st.lists(st.integers(0, n - 1), min_size=k, max_size=k).map(tuple)))
+    return store, layout, indices
+
+
+ANSWER_MUTATIONS = ("none", "type", "session", "masked-width", "open-width",
+                    "expect-other-open", "length", "pad", "truncate", "eof",
+                    "error")
+QUERY_MUTATIONS = ("none", "type", "count", "length", "index", "truncate",
+                   "hello", "zero-length", "oversize")
+
+
+class TestFixedShapeFrames:
+    """The fixed-shape parse of read_answer and read_query agrees with
+    the general path (read_frame and the decoders) on well-formed and
+    damaged frames, read one byte per recv."""
+
+    @given(narrow_stores(), st.sampled_from(ANSWER_MUTATIONS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_read_answer_agrees_with_general_path(self, shape, mutation,
+                                                  data):
+        store, layout, indices = shape
+        sid = data.draw(st.integers(0, 2 ** 64 - 1))
+        s = layout.key_bits
+        w = layout.open_subpacket_bits if any(indices) else 0
+        frame = bytearray(answer_frame(sid, store, layout,
+                                       QueryVector(indices)))
+        assert bytes(frame) == encode_answer(
+            sid, answer(store, layout, QueryVector(indices)))
+        mb = (s + 7) // 8
+        if mutation == "type":
+            frame[4] = data.draw(st.sampled_from(
+                [MSG_HELLO, MSG_QUERY, MSG_ERROR, 0x00, 0x7F]))
+        elif mutation == "session":
+            frame[5 + data.draw(st.integers(0, 7))] ^= 1 << data.draw(
+                st.integers(0, 7))
+        elif mutation == "masked-width":
+            struct.pack_into(">I", frame, 13, s ^ data.draw(
+                st.integers(1, 64)))
+        elif mutation == "open-width":
+            struct.pack_into(">I", frame, 17 + mb, w ^ data.draw(
+                st.integers(1, 64)))
+        elif mutation == "expect-other-open":
+            w = layout.open_subpacket_bits if not w else 0
+        elif mutation == "length":
+            struct.pack_into(">I", frame, 0, data.draw(st.one_of(
+                st.integers(0, len(frame) + 8), st.just(MAX_FRAME_BYTES + 1))))
+        elif mutation == "pad":
+            ends = [at for at, nbits in ((17 + mb, s), (len(frame), w))
+                    if nbits % 8]
+            if ends:
+                end = data.draw(st.sampled_from(ends))
+                frame[end - 1] |= 1 << data.draw(st.integers(
+                    0, -(s if end == 17 + mb else w) % 8 - 1))
+        elif mutation == "truncate":
+            frame = frame[:data.draw(st.integers(1, len(frame) - 1))]
+        elif mutation == "eof":
+            frame = bytearray()
+        elif mutation == "error":
+            frame = bytearray(encode_error(
+                data.draw(st.integers(0, 0xFFFF)), data.draw(st.text())))
+        raw = bytes(frame) + data.draw(st.binary(max_size=4))
+        fast, general = Trickle(raw), Trickle(raw)
+        got = outcome(read_answer, fast, sid, s, w)
+        assert got == outcome(general_read_answer, general, sid, s, w)
+        assert fast._at == general._at
+        if mutation == "none":
+            assert got == answer(store, layout, QueryVector(indices))
+
+    @given(narrow_stores(), st.lists(st.sampled_from(QUERY_MUTATIONS),
+                                     min_size=1, max_size=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_served_bytes_agree_with_general_path(self, shape, mutations,
+                                                  data):
+        store, layout, indices = shape
+        n, k = layout.subpackets_per_part + 1, len(indices)
+        stream = b""
+        for mutation in mutations:
+            sid = data.draw(st.integers(0, 2 ** 64 - 1))
+            frame = bytearray(encode_query(sid, indices))
+            if mutation == "type":
+                frame[4] = data.draw(st.sampled_from(
+                    [MSG_HELLO, MSG_ANSWER, MSG_ERROR, 0x00, 0x7F]))
+            elif mutation == "count":
+                frame[13] = data.draw(st.integers(0, 255).filter(
+                    lambda c: c != k))
+            elif mutation == "length":
+                struct.pack_into(">I", frame, 0, data.draw(
+                    st.integers(1, len(frame) + 8)))
+            elif mutation == "index":
+                frame[14 + data.draw(st.integers(0, k - 1))] = data.draw(
+                    st.integers(n, 255))
+            elif mutation == "truncate":
+                frame = frame[:data.draw(st.integers(1, len(frame) - 1))]
+            elif mutation == "hello":
+                frame = bytearray(encode_frame(MSG_HELLO, data.draw(
+                    st.binary(max_size=2))))
+            elif mutation == "zero-length":
+                frame = bytearray(4)
+            elif mutation == "oversize":
+                frame = bytearray(struct.pack(">IB", MAX_FRAME_BYTES + 1,
+                                              MSG_QUERY))
+            stream += bytes(frame)
+        served = Recorder(stream)
+        serve_connection(0, store, layout, served)
+        assert b"".join(served.sent) == general_serve(store, layout,
+                                                      Trickle(stream))
