@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from enum import Enum
 from typing import Optional
 
@@ -79,9 +78,9 @@ def _forms(params: SystemParams) -> tuple:
     flat = 0 < delta >= d1
     if 0 < delta and d1 < 2.0 ** -1022:
         # A subnormal d1 has too few bits to be compared with delta: decide
-        # delta >= (M-1) / ((N-1)(e 2^s + M - 1)) exactly instead.
-        flat = (Fraction(delta) * (n - 1) * (Fraction(e) * (1 << s) + big - 1)
-                >= big - 1)
+        # delta >= (M-1) / ((N-1)(e 2^s + M - 1)) exactly, in integers.
+        (a, b), (c, d) = delta.as_integer_ratio(), e.as_integer_ratio()
+        flat = a * (n - 1) * ((c << s) + (big - 1) * d) >= (big - 1) * b * d
     upper = (d1, 0.0, 1.0 + d1) if flat else (
         d1, max(0.0, 1.0 / (n - 1) - delta * (e + m - one) / m1),
         1.0 + 1.0 / (n - 1) - delta * e / m1)
