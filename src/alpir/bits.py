@@ -11,15 +11,15 @@ _PACKED_MIN_BYTES bytes are XORed, sliced and joined packed, with numpy,
 and from_bytes() keeps their bytes: at 512 KiB an int/bytes conversion
 costs about 0.6 ms each way, against 20 us for a numpy XOR. Narrower
 strings work on ints, where numpy's fixed cost of about 1.5 us per call
-is larger than the whole int operation. The form never shows in
-results: equality, hashing and every method agree across the two.
+is larger than the whole int operation. numpy is imported by the first
+operation on a wide string, so a program whose strings are all narrow
+never loads it. The form never shows in results: equality, hashing and
+every method agree across the two.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
-
-import numpy as np
 
 # Byte width from which strings are worked on packed: the measured
 # crossover of a whole N=2 session (answer, encode_answer, decode_answer,
@@ -33,13 +33,14 @@ _PACKED_MIN_BYTES = 1024
 _set = object.__setattr__
 
 
-def _new_packed(nbytes: int) -> tuple[bytearray, np.ndarray]:
+def _new_packed(nbytes: int) -> tuple:
     """A zeroed bytearray for a result, and a uint8 array over it.
 
     Results live in bytearrays because comparing one with bytes is a
     plain memcmp. Copying a 512 KiB array out to bytes for the compare
     instead cost about 112 fresh page faults per call under glibc.
     """
+    import numpy as np
     buf = bytearray(nbytes)
     return buf, np.frombuffer(buf, np.uint8)
 
@@ -135,7 +136,8 @@ class BitString:
         packed = self._packed
         return self.to_bytes() if packed is None else packed
 
-    def _array(self) -> np.ndarray:
+    def _array(self):
+        import numpy as np
         return np.frombuffer(self._buffer(), np.uint8)
 
     def _operand(self):
@@ -180,6 +182,7 @@ class BitString:
             raise ValueError("width mismatch in xor")
         if (nbits + 7) >> 3 < _PACKED_MIN_BYTES:
             return BitString(self.value ^ other.value, nbits)
+        import numpy as np
         buf, out = _new_packed((nbits + 7) >> 3)
         np.bitwise_xor(self._array(), other._array(), out=out)
         return BitString._of_packed(buf, nbits)
@@ -198,6 +201,7 @@ class BitString:
         return BitString(value & ((1 << n) - 1) if start else value, n)
 
     def _packed_slice(self, start: int, n: int) -> "BitString":
+        import numpy as np
         first, r, nbytes = start >> 3, start & 7, (n + 7) >> 3
         src = self._array()[first:first + nbytes + 1]
         buf, out = _new_packed(nbytes)

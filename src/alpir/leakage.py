@@ -31,8 +31,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .bits import BitString
 from .params import SystemParams
 from .scheme import (MessageStore, PartitionLayout, PathChoice,
@@ -73,9 +71,7 @@ def analytic_db_leakage(params: SystemParams, layout: PartitionLayout) -> float:
     combination of L/(N-1) - s bits. The key pads every masked part, so
     only the open width counts.
     """
-    dist = path_distribution(params)
-    high_total = 1.0 - dist.low_total
-    return high_total * layout.open_subpacket_bits
+    return path_distribution(params).high_total * layout.open_subpacket_bits
 
 
 def db_leak_budget_bits(params: SystemParams) -> float:
@@ -319,6 +315,7 @@ def empirical_cost_audit(trials: int, params: SystemParams,
     """Monte-Carlo mean of per-session download bits / L, with a 3-sigma flag."""
     if trials < MIN_AUDIT_TRIALS:
         raise ValueError(f"need at least {MIN_AUDIT_TRIALS} trials")
+    import numpy as np
     layout = plan_partition(params)
     dist = path_distribution(params)
     l = params.message_bits

@@ -28,7 +28,8 @@ bits._PACKED_MIN_BYTES into one buffer with the connection's recv_into
 (connections with only recv get their chunks joined), its payload is a
 read-only memoryview of that buffer, and decode_answer hands out
 BitString views of it. Smaller frames are read with recv into a bytes
-payload, which is cheaper to make and to slice.
+payload, which is cheaper to make and to slice. Only these large-frame
+paths use numpy, and they import it on first use.
 
 Every other frame has a fixed shape that both ends know before it
 arrives: a server of K messages reads K-index Query frames, and a client
@@ -48,8 +49,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .. import bits
 from ..bits import BitString
@@ -121,6 +120,7 @@ def _read_body(conn, header: bytes | None) -> WireFrame | None:
     if recv_into is None:
         body = memoryview(_read_exact(conn, length, allow_eof=False))
     else:
+        import numpy as np
         body = memoryview(np.empty(length, np.uint8))
         got = 0
         while got < length:
@@ -288,6 +288,7 @@ def answer_frame(session_id: int, store, layout, query):
                 | c >> layout.open_subpacket_bits << shape.masked_at
                 | (c & shape.open_mask) << shape.open_at
                 ).to_bytes(shape.size + 4, "big")
+    import numpy as np
     frame = None
 
     def body(masked_bits: int, open_bits: int):

@@ -30,8 +30,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import bits
 from .bits import BitString
 from .bounds import alpha1_rate, scaled_terms
@@ -87,9 +85,8 @@ def layout_for_key_bits(params: SystemParams, key_bits: int) -> PartitionLayout:
     if not 0 <= key_bits <= per_sub:
         raise ValueError("key_bits must lie in [0, message_bits/(n_databases-1)]")
     open_bits = per_sub - key_bits
-    dist = path_distribution(params)
-    high_total = 1.0 - dist.p * params.n_databases
-    eff_delta = high_total * open_bits / params.message_bits
+    eff_delta = (path_distribution(params).high_total * open_bits
+                 / params.message_bits)
     return PartitionLayout(
         key_bits=key_bits,
         masked_subpacket_bits=key_bits,
@@ -125,6 +122,9 @@ class PathDistribution:
     q: float
     # p / q = e^eps, kept for where p and q fall below the normal doubles.
     ratio: float = math.inf
+    # 1 - N p from the law's own terms: the difference cancels to 0 as N p
+    # nears 1. path_distribution always sets it.
+    high_total: float = math.nan
 
     @property
     def low_total(self) -> float:
@@ -132,7 +132,8 @@ class PathDistribution:
 
 
 def path_distribution(params: SystemParams) -> PathDistribution:
-    """p = e^eps/(N e^eps + N^K - N) per low-cost base, q = 1/(...) otherwise.
+    """p = e^eps/(N e^eps + N^K - N) per low-cost base, q = 1/(...) otherwise,
+    and high_total = (N^K - N)/(...), the weight of all high-cost bases.
 
     In the eps -> infinity limit this degenerates to p = 1/N, q = 0.
     """
@@ -141,9 +142,11 @@ def path_distribution(params: SystemParams) -> PathDistribution:
         raise ValueError("path distribution needs n_databases >= 2")
     high = n ** k - n
     s, e, one = scaled_terms(params.eps, high)
-    denom = n * e + high / (1 << s)
+    scaled_high = high / (1 << s)
+    denom = n * e + scaled_high
     _, ratio, one_r = scaled_terms(params.eps, 1)
-    return PathDistribution(n, k, e / denom, one / denom, ratio / one_r)
+    return PathDistribution(n, k, e / denom, one / denom, ratio / one_r,
+                            scaled_high / denom)
 
 
 @dataclass(frozen=True)
@@ -357,6 +360,7 @@ def answer(store: MessageStore, layout: PartitionLayout,
             for part, out in zip(parts, into(store.key.nbits, open_bits)):
                 out[:] = part._array()
         return Answer(*parts)
+    import numpy as np
     key, rows, _ = store.subpacket_table(layout)
     indices = query.indices
     widths = (store.key.nbits, layout.open_subpacket_bits
@@ -390,6 +394,7 @@ def answer(store: MessageStore, layout: PartitionLayout,
 
 def _new_parts(*widths: int) -> list:
     """`answer`'s arrays when its caller passes none: fresh ones."""
+    import numpy as np
     return [np.empty((nbits + 7) >> 3, np.uint8) for nbits in widths]
 
 

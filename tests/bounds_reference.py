@@ -1,7 +1,7 @@
 """Exact-arithmetic reference for the closed forms in `alpir.bounds`.
 
 `reference_forms` evaluates the six forms, the gap cap and the path law's
-p and q in `decimal` at 60 significant digits, starting from the exact
+p, q and high-cost weight in `decimal` at 60 significant digits, starting from the exact
 binary value of the float eps. It works with r = e^-eps, which decimal
 carries down to about 10^-(10^18) and rounds to 0 below that, so no input
 overflows it, and it shares no code with the package: every form is
@@ -53,9 +53,11 @@ def reference_forms(n: int, k: int, eps: float, delta: float,
             "gap_cap": (n - r) / (n - 1),
             "inv_f1": inv_f1,
         }
-        # p = e^eps / (N e^eps + N^K - N) and q = p e^-eps, both over r.
+        # p = e^eps / (N e^eps + N^K - N), q = p e^-eps and the high-cost
+        # weight (N^K - N) q, all over r.
         denom = n + (n ** k - n) * r
         out["p"], out["q"] = one / denom, r / denom
+        out["high_total"] = (n ** k - n) * r / denom
         return out
 
 

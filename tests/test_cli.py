@@ -225,6 +225,25 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_leakage_keeps_its_bits_at_large_eps(self, capsys):
+        """The high-cost weight 1 - N p once cancelled to 0 at eps = 40:
+        effective_delta=0 and analytic=0, next to oracle=1.6993417e-17."""
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "2",
+                                 "--l", "4", "--eps", "40", "--delta", "0.5",
+                                 "--trials", "200", "--seed", "1")
+        assert code == 0, err
+        fields = {ln.split(":")[0]: dict(f.split("=") for f in ln.split()
+                                         if "=" in f)
+                  for ln in out.splitlines()[1:]}
+        high = reference_forms(2, 2, 40.0, 0.5)["high_total"]
+        # 4 open bits of a 4-bit message: delta is high_total, leakage 4x.
+        assert float(fields["layout"]["effective_delta"]) == pytest.approx(
+            float(high), rel=1e-8)
+        leak = fields["db leakage"]
+        assert float(leak["analytic"]) == pytest.approx(float(4 * high),
+                                                        rel=1e-8)
+        assert leak["analytic"] == leak["oracle"]
+
     def test_oversize_answer_frames_fail_cleanly(self, capsys):
         """An answer frame of 17,500,018 bytes, past wire.MAX_FRAME_BYTES,
         once ended in a server thread's traceback and then the client's.
@@ -287,7 +306,10 @@ class TestCliGolden:
     not grow with l, and they were re-pinned with its exact value. The
     bounds and sweep rows cover the single-server table, eps = 49.9, 50
     and inf, and the benchmark's 46,359-row grid. eps = 50 was once
-    treated as infinite; its row was re-pinned when that cap went."""
+    treated as infinite; its row was re-pinned when that cap went. The
+    two verify rows were re-pinned when the closed-form leakage started
+    to take 1 - N p from the law's own terms: their oracle-agreement
+    line's max |diff| went from 2.22e-16 to 0."""
 
     WORKED = ("--n", "2", "--k", "2", "--l", "3", "--eps", str(math.log(1.5)),
               "--delta", str(4 / 15), "--seed", "3", "--trials", "2000")
@@ -308,9 +330,9 @@ class TestCliGolden:
         (("simulate", *SKIPPED, "--trials", "1000"), 0,
          "b4608b08784b1a065052030363d4e06abd0d9f17531d10e0b70dd588764e7b89"),
         (("verify", *SKIPPED), 0,
-         "53417af047d3a0e4741e7ec3901137b3349737ff4f73f538a97d24d78b1e063c"),
+         "043feb5cc5e9331d768b2dea7f24e790e227f0cea5127a4e69d9f7e1f9747bbc"),
         (("verify", "--inject-key-deficit", "-1"), 1,
-         "2a6c5f849995184d5be4d4206d6fe53e8a4ff4a3226f10c68aefe5ebe0ade302"),
+         "1dd92f81f8fc5af0414789d4c931c69afe32b2da54cf5c08b4a81d9bc954d68f"),
     ], ids=["simulate-memory", "simulate-tcp", "simulate-oracle-skipped",
             "verify-oracle-skipped", "verify-key-deficit"])
     def test_stdout(self, capsys, args, code, out_sha):

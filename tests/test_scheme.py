@@ -19,6 +19,7 @@ from alpir import (BitString, MessageStore, PathClass, SystemParams, answer,
                    plan_partition, residual_view, sample_path,
                    session_download_bits)
 from alpir.scheme import CEIL_GUARD, Answer, PathChoice, QueryVector
+from bounds_reference import reference_forms, ulps
 
 EXACT = 1e-12
 
@@ -125,12 +126,27 @@ class TestPathDistribution:
         dist = path_distribution(SystemParams(2, 2, 2, math.inf, 0.0))
         assert dist.p == 0.5
         assert dist.q == 0.0
+        assert dist.high_total == 0.0
 
     def test_ratio_is_privacy_level(self):
         for n, k, eps in ((2, 2, 0.4), (3, 2, 1.0), (3, 4, 2.5), (5, 3, 0.1)):
             dist = path_distribution(SystemParams(n, k, n - 1, eps, 0.0))
             assert dist.p / dist.q == pytest.approx(math.exp(eps),
                                                     rel=EXACT)
+
+    @given(st.integers(2, 7), st.integers(2, 40), st.floats(0.0, 700.0))
+    @settings(max_examples=300, deadline=None)
+    @example(2, 2, 40.0)
+    @example(2, 2, 36.0)
+    @example(3, 4, 8.0)
+    @example(2, 2, math.log(1.5))
+    def test_high_total_is_exact(self, n, k, eps):
+        """1 - N p cancels as N p nears 1, to 0 at N=2 K=2 eps=40;
+        high_total is taken from the law's own terms instead."""
+        dist = path_distribution(SystemParams(n, k, n - 1, eps, 0.0))
+        want = reference_forms(n, k, eps, 0.0)["high_total"]
+        assert dist.high_total > 0
+        assert ulps(dist.high_total, want, float(want)) <= 4
 
     def test_total_mass_is_one(self):
         for n, k in ((2, 2), (3, 3), (4, 2)):
