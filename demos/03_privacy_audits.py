@@ -10,7 +10,7 @@ import math
 
 from alpir import (SystemParams, analytic_db_leakage, analytic_user_ratio,
                    db_leak_budget_bits, empirical_cost_audit,
-                   empirical_query_audit, exact_mi_oracle, leakage_report,
+                   empirical_query_audit, exact_mi_oracle,
                    path_distribution, plan_partition)
 
 params = SystemParams(2, 2, 3, math.log(1.5), 4 / 15)
@@ -24,8 +24,6 @@ print("database-side leakage (bits per session):")
 print(f"  budget (delta * L)     {budget:.6f}")
 print(f"  closed form            {analytic:.6f}")
 print(f"  exact (GF(2) rank)     {oracle.max_bits:.6f}")
-print(f"  per-target breakdown   "
-      + ", ".join(f"W{i}: {v:.6f}" for i, v in enumerate(oracle.per_message)))
 print()
 
 # The oracle is exact and formula-free: it reads each path's answer
@@ -54,10 +52,3 @@ print("download-cost audit:")
 print(f"  closed form     {cost.expected:.6f}")
 print(f"  sampled mean    {cost.mean_cost:.6f} (sigma {cost.sigma:.6f})")
 print(f"  verdict         {'VIOLATION' if cost.violation else 'ok'}")
-print()
-
-# Or all of the above in one object.
-report = leakage_report(params, trials=20_000, seed=3)
-print("combined report:")
-for key, value in report.to_dict().items():
-    print(f"  {key:>24}: {value}")

@@ -11,11 +11,11 @@ from .bounds import (BoundsReport, Regime, RegimeInfo, SingleServerOutcome,
                      alpha1_rate, alpha2_rate, bounds_report, classify_regime,
                      d_lower, d_upper, delta1_threshold, delta2_threshold,
                      gap_ratio, single_server_cost)
-from .leakage import (CostAuditResult, LeakageReport, OracleResult,
-                      QueryAuditResult, StateSpaceError, analytic_db_leakage,
+from .leakage import (CostAuditResult, OracleResult, QueryAuditResult,
+                      StateSpaceError, analytic_db_leakage,
                       analytic_user_ratio, db_leak_budget_bits,
                       empirical_cost_audit, empirical_query_audit,
-                      exact_mi_oracle, leakage_report, ratio_audit_from_counts)
+                      exact_mi_oracle, ratio_audit_from_counts)
 from .params import SystemParams
 from .scheme import (Answer, MessageStore, PartitionLayout, PathChoice,
                      PathClass, PathDistribution, QueryVector, ResidualView,

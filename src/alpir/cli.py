@@ -36,22 +36,17 @@ ENV_PREFIX = "ALPIR_"
 FORMATS = ("csv", "json-lines")
 
 
-def _bool_cast(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
-
-
 _CASTERS: dict[str, Callable[[str], object]] = {
     "n": str, "k": str, "l": int, "eps": float, "delta": float,
     "eps_grid": str, "delta_grid": str, "trials": int, "seed": int,
-    "out": str, "format": str, "transport": str,
-    "no_db_relabel": _bool_cast, "inject_key_deficit": int,
+    "out": str, "format": str, "transport": str, "inject_key_deficit": int,
 }
 
 DEFAULTS = {
     "l": None, "eps": None, "delta": None, "eps_grid": None,
     "delta_grid": None, "trials": 10000, "seed": 0, "out": None,
-    "format": "csv", "transport": "memory", "no_db_relabel": False,
-    "inject_key_deficit": 0, "n": "2", "k": "2",
+    "format": "csv", "transport": "memory", "inject_key_deficit": 0,
+    "n": "2", "k": "2",
 }
 
 
@@ -110,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--transport", choices=["memory", "tcp"],
                        help="byte-stream transport (default memory)")
-    p_sim.add_argument("--no-db-relabel", action="store_true", default=None,
-                       help="disable the per-session server relabeling")
 
     p_ver = sub.add_parser("verify", help="run the self-check suite")
     common(p_ver)
@@ -236,8 +229,7 @@ def cmd_simulate(cfg: dict) -> int:
     trials, seed = cfg["trials"], cfg["seed"]
     layout = plan_partition(params)
     stats = netsim.run_trials(trials, params, seed,
-                              transport=cfg["transport"],
-                              relabel=not cfg["no_db_relabel"])
+                              transport=cfg["transport"])
     cost = lk.cost_audit_from_mean(params, layout, stats.mean_cost, trials)
     ratio = lk.ratio_audit_from_counts(
         stats.structure_counts, stats.trials_per_message,

@@ -18,9 +18,10 @@ low-cost sessions leak nothing, giving (1 - Np) * (L/(N-1) - s) bits. The
 exact oracle recomputes the mutual information without the closed form:
 the answers are GF(2)-linear in uniform messages and key, so each path
 leaks a rank deficit of its answer matrix, whose rows it reads from the
-real `answer` on a one-bit-per-slot probe store. Its cost is a count of
-`answer` calls that grows with N and K but not with L, and it is skipped
-above ORACLE_CALL_CAP calls.
+real `answer` on a one-bit-per-slot probe store. By the symmetry of the
+scheme it visits one desired index and one value of its coordinate, so
+its cost is C(K+N-2, N-1) N `answer` calls, whatever L is, and it is
+skipped above ORACLE_CALL_CAP calls.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .scheme import (MessageStore, PartitionLayout, PathChoice,
                      plan_partition, sample_path, session_download_bits)
 from .seeding import derived_rng
 
-# Most `answer` calls exact_mi_oracle may make; the count does not depend
-# on L. N=2 K=128 takes 65,536 and fits (2.5 s on a 2-vCPU x86 VM); N=2
-# K=255 would take 260,100 and is skipped.
+# Most `answer` calls exact_mi_oracle may make, C(K+N-2, N-1) N; the count
+# does not depend on L. N=2 K=255 takes 510 and N=5 K=16 takes 19,380,
+# which fit; N=3 K=255 would take 97,920 and is skipped.
 ORACLE_CALL_CAP = 1 << 16
 MIN_AUDIT_TRIALS = 1000
 LEAK_TOL_BITS = 1e-9
@@ -90,15 +91,14 @@ def message_space(k: int, l: int):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact mutual information, overall and per desired message."""
+    """Exact mutual information, in bits; every desired index leaks it."""
 
     max_bits: float
-    per_message: tuple[float, ...]
 
 
-def exact_mi_oracle(params: SystemParams, layout: PartitionLayout,
-                    call_cap: int = ORACLE_CALL_CAP) -> OracleResult:
-    """I(undesired messages; queries, answers) in bits, per desired index.
+def exact_mi_oracle(params: SystemParams,
+                    layout: PartitionLayout) -> OracleResult:
+    """I(undesired messages; queries, answers) in bits.
 
     The queries name the path, and every answer bit is a GF(2)-linear
     function of the uniform messages and key. So a path leaks
@@ -110,55 +110,62 @@ def exact_mi_oracle(params: SystemParams, layout: PartitionLayout,
         leak = s (rank M - rank M|known) + w (rank O - rank O|known)
 
     The rows of M and O come from the real `answer` on a probe store (see
-    `_probe_store`), not from the closed form. The undesired coordinates
-    of a base are exchangeable, so the bases are visited as x_desired
-    times a multiset of the other K-1 values, weighted by its multinomial
-    count, and LOW and HIGH bits are totalled as ints and weighted by p
-    and q once. The cost does not depend on L.
+    `_probe_store`), not from the closed form.
 
-    Raises StateSpaceError when the K N C(K+N-2, N-1) N `answer` calls
-    this takes exceed call_cap.
+    Only desired index 0 with x_desired = 0 is visited, scaled by N:
+    - Query d of a base sets the desired coordinate to x_desired + d + 1
+      mod N and copies the rest, so the N queries sweep every residue
+      there and form the same set whatever x_desired is. Ranks do not
+      depend on row order, so the N bases that differ only in x_desired
+      leak the same bits.
+    - Relabelling the messages so that desired index j becomes 0 permutes
+      the probe store's slots, and with them the columns of M and O and
+      the known columns, and keeps the path class. Ranks do not depend on
+      column order, so every desired index leaks the same bits.
+    The undesired coordinates of a base are exchangeable for the same
+    reason, so the bases are visited as multisets of the K-1 undesired
+    values, weighted by their multinomial counts. LOW and HIGH bits are
+    totalled as ints, multiplied by N, and weighted by p and q once,
+    which gives the per-desired sum of every base bit for bit.
+
+    This takes C(K+N-2, N-1) N `answer` calls, whatever L is, and raises
+    StateSpaceError when that exceeds ORACLE_CALL_CAP.
     """
     n, k = params.n_databases, params.n_messages
-    calls = k * n * math.comb(k + n - 2, n - 1) * n
-    if calls > call_cap:
+    calls = math.comb(k + n - 2, n - 1) * n
+    if calls > ORACLE_CALL_CAP:
         raise StateSpaceError(
-            f"{calls} answer calls exceed the cap of {call_cap}")
+            f"{calls} answer calls exceed the cap of {ORACLE_CALL_CAP}")
     dist = path_distribution(params)
-    store, probe, known = _probe_store(n, k)
-    per_message = []
-    for desired in range(k):
-        known_masked, known_open = known[desired]
-        low_bits = high_bits = 0
-        for others in itertools.combinations_with_replacement(range(n),
-                                                               k - 1):
-            weight = math.factorial(k - 1)
-            for v in range(n):
-                weight //= math.factorial(others.count(v))
-            for first in range(n):
-                base = (*others[:desired], first, *others[desired:])
-                path_class = classify_base(base, desired)
-                answers = [answer(store, probe, qv) for qv in make_queries(
-                    PathChoice(base, desired, path_class), params)]
-                masked = [a.masked.value for a in answers]
-                open_ = [a.open.value for a in answers]
-                bits = (layout.key_bits * (
-                    _rank(masked) - _rank(m & known_masked for m in masked))
-                    + layout.open_subpacket_bits * (
-                    _rank(open_) - _rank(o & known_open for o in open_)))
-                if path_class is PathClass.LOW:
-                    low_bits += bits
-                else:
-                    high_bits += weight * bits
-        per_message.append(max(0.0, dist.p * low_bits + dist.q * high_bits))
-    return OracleResult(max(per_message), tuple(per_message))
+    store, probe, (known_masked, known_open) = _probe_store(n, k)
+    low_bits = high_bits = 0
+    for others in itertools.combinations_with_replacement(range(n), k - 1):
+        weight = math.factorial(k - 1)
+        for v in range(n):
+            weight //= math.factorial(others.count(v))
+        base = (0, *others)
+        path_class = classify_base(base, 0)
+        answers = [answer(store, probe, qv) for qv in make_queries(
+            PathChoice(base, 0, path_class), params)]
+        masked = [a.masked.value for a in answers]
+        open_ = [a.open.value for a in answers]
+        bits = (layout.key_bits * (
+            _rank(masked) - _rank(m & known_masked for m in masked))
+            + layout.open_subpacket_bits * (
+            _rank(open_) - _rank(o & known_open for o in open_)))
+        if path_class is PathClass.LOW:
+            low_bits += bits
+        else:
+            high_bits += weight * bits
+    return OracleResult(max(0.0, dist.p * (n * low_bits)
+                            + dist.q * (n * high_bits)))
 
 
 def _probe_store(n: int, k: int) -> tuple[MessageStore, PartitionLayout,
-                                          list[tuple[int, int]]]:
+                                          tuple[int, int]]:
     """A store whose key and (message, subpacket) slots are each one set
-    bit of their own, its layout, and per message j the (masked, open)
-    masks of the columns known once W_j is: the key and W_j's slots.
+    bit of their own, its layout, and the (masked, open) masks of the
+    columns known once W_0 is: the key and W_0's slots.
 
     An answer's value is then one row of the M and O blocks. Open parts
     are K(N-1) bits wide, subpacket v of message j at 1 << (j(N-1) + v-1);
@@ -172,8 +179,9 @@ def _probe_store(n: int, k: int) -> tuple[MessageStore, PartitionLayout,
     messages = tuple(BitString.join(
         [BitString(b << 1, masked_w) for b in bits]
         + [BitString(b, open_w) for b in bits]) for bits in slots)
-    known = [(1 | sum(bits) << 1, sum(bits)) for bits in slots]
-    return MessageStore(messages, BitString(1, masked_w)), layout, known
+    known = sum(slots[0])
+    return (MessageStore(messages, BitString(1, masked_w)), layout,
+            (1 | known << 1, known))
 
 
 def _rank(rows) -> int:
@@ -210,21 +218,17 @@ class QueryAuditResult:
         }
 
 
-def ratio_audit_from_counts(counts: dict, trials_per_message,
+def ratio_audit_from_counts(counts: dict, trials_per_message: dict,
                             budget: float) -> QueryAuditResult:
     """Worst observed likelihood ratio from per-structure counts.
 
     counts maps (desired, database, vector) to an observed count;
-    trials_per_message is the session count behind each desired index
-    (an int when uniform, or a dict keyed by desired index). Frequencies
-    are compared across desired indices at fixed (database, vector); a
-    3-sigma half-width for the maximizing pair comes from binomial
-    variances through the delta method. A violation is flagged only when
-    the lower confidence edge clears the budget.
+    trials_per_message maps each desired index to the session count
+    behind it. Frequencies are compared across desired indices at fixed
+    (database, vector); a 3-sigma half-width for the maximizing pair
+    comes from binomial variances through the delta method. A violation
+    is flagged only when the lower confidence edge clears the budget.
     """
-    per_desired_trials = defaultdict(lambda: trials_per_message)
-    if isinstance(trials_per_message, dict):
-        per_desired_trials = trials_per_message
     by_cell = defaultdict(dict)
     for (desired, db, vec), c in counts.items():
         by_cell[(db, vec)][desired] = c
@@ -234,7 +238,7 @@ def ratio_audit_from_counts(counts: dict, trials_per_message,
             for kb, cb in per_desired.items():
                 if ka == kb or cb == 0:
                     continue
-                ma, mb = per_desired_trials[ka], per_desired_trials[kb]
+                ma, mb = trials_per_message[ka], trials_per_message[kb]
                 ratio = (ca / ma) / (cb / mb)
                 if ratio > best:
                     var = (1 - ca / ma) / ca if ca else 0.0
@@ -242,9 +246,6 @@ def ratio_audit_from_counts(counts: dict, trials_per_message,
                     best = ratio
                     best_hw = 3.0 * ratio * math.sqrt(var)
     violation = bool(best - best_hw > budget) if math.isfinite(budget) else False
-    if not isinstance(trials_per_message, dict):
-        keys = {desired for (desired, _, _) in counts}
-        trials_per_message = {d: per_desired_trials[d] for d in sorted(keys)}
     return QueryAuditResult(trials_per_message, best, best_hw, budget,
                             violation, dict(counts))
 
@@ -271,7 +272,8 @@ def empirical_query_audit(trials: int, params: SystemParams,
             for db, qv in enumerate(make_queries(choice, params)):
                 counts[(desired, db, qv.indices)] = c
     budget = analytic_user_ratio(dist)
-    return ratio_audit_from_counts(counts, trials, budget)
+    return ratio_audit_from_counts(
+        counts, dict.fromkeys(range(params.n_messages), trials), budget)
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,9 @@ def cost_audit_from_mean(params: SystemParams, layout: PartitionLayout,
     low_cost = session_download_bits(layout, PathClass.LOW) / l
     high_cost = session_download_bits(layout, PathClass.HIGH) / l
     expect = expected_cost(params, layout)
-    pl = path_distribution(params).low_total
-    sigma = abs(high_cost - low_cost) * math.sqrt(pl * (1 - pl) / trials)
+    dist = path_distribution(params)
+    sigma = abs(high_cost - low_cost) * math.sqrt(
+        dist.low_total * dist.high_total / trials)
     violation = bool(abs(mean_cost - expect) > 3.0 * sigma) if sigma else (
         mean_cost != expect)
     return CostAuditResult(trials, mean_cost, expect, sigma, violation)
@@ -355,47 +358,3 @@ def db_leak_audit(params: SystemParams,
         abs(exact - analytic) <= LEAK_TOL_BITS
         and exact <= budget + LEAK_TOL_BITS))
     return DbLeakAudit(analytic, budget, exact, ok)
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """Both privacy measurements, analytic and measured, side by side."""
-
-    user_ratio_analytic: float
-    user_ratio_empirical: float
-    user_ratio_halfwidth: float
-    db_leak_analytic_bits: float
-    db_leak_exact_bits: Optional[float]
-    db_leak_budget_bits: float
-    trials: int
-
-    def to_dict(self) -> dict:
-        return {
-            "user_ratio_analytic": self.user_ratio_analytic,
-            "user_ratio_empirical": self.user_ratio_empirical,
-            "user_ratio_halfwidth": self.user_ratio_halfwidth,
-            "db_leak_analytic_bits": self.db_leak_analytic_bits,
-            "db_leak_exact_bits": self.db_leak_exact_bits,
-            "db_leak_budget_bits": self.db_leak_budget_bits,
-            "trials": self.trials,
-        }
-
-
-def leakage_report(params: SystemParams, trials: int,
-                   seed: int) -> LeakageReport:
-    """Assemble the full report. db_leak_exact_bits is the rank oracle's
-    value, which costs the same at every L; it is None only when the
-    oracle would need more than ORACLE_CALL_CAP `answer` calls (N=2 at
-    K > 128, for example)."""
-    dist = path_distribution(params)
-    audit = empirical_query_audit(trials, params, seed)
-    leak = db_leak_audit(params, plan_partition(params))
-    return LeakageReport(
-        user_ratio_analytic=analytic_user_ratio(dist),
-        user_ratio_empirical=audit.max_ratio,
-        user_ratio_halfwidth=audit.halfwidth,
-        db_leak_analytic_bits=leak.analytic_bits,
-        db_leak_exact_bits=leak.exact_bits,
-        db_leak_budget_bits=leak.budget_bits,
-        trials=trials,
-    )

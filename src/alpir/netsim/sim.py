@@ -219,9 +219,11 @@ class _Pending(NamedTuple):
 
 
 def _send_sessions(params: SystemParams, dist: PathDistribution,
-                   conns: Sequence, sessions, relabel: bool) -> list[_Pending]:
+                   conns: Sequence, sessions) -> list[_Pending]:
     """First half of sessions (session id, desired index, rng): build the
-    N queries of each, then send each connection its frames in one write."""
+    N queries of each, then send each connection its frames in one write.
+    A uniform permutation per session reassigns which server answers
+    which query; stores are replicated, so this changes no outcome."""
     if len(conns) != params.n_databases:
         raise ValueError("need one connection per database")
     outboxes = [[] for _ in conns]
@@ -232,8 +234,7 @@ def _send_sessions(params: SystemParams, dist: PathDistribution,
         choice = sample_path(dist, desired, rng)
         queries = make_queries(choice, params)
         targets = list(range(params.n_databases))
-        if relabel:
-            rng.shuffle(targets)
+        rng.shuffle(targets)
         upload_bits = 0
         for d, qv in enumerate(queries):
             data = wire.encode_query(session_id, qv.indices)
@@ -281,18 +282,15 @@ def _finish_session(layout: PartitionLayout, conns: Sequence,
 
 def retrieve(params: SystemParams, layout: PartitionLayout, desired: int,
              conns: Sequence, rng, session_id: int = 0,
-             relabel: bool = True,
              expected: Optional[BitString] = None,
              ) -> tuple[BitString, SessionRecord]:
     """Run one full retrieval session over already-connected endpoints.
 
-    Validates the desired index before anything is sent. With relabel on,
-    a uniform permutation reassigns which server answers which query;
-    stores are replicated, so this changes no outcome. The session is
+    Validates the desired index before anything is sent. The session is
     lock-step: its answers are read before the call returns.
     """
     (pending,) = _send_sessions(params, path_distribution(params), conns,
-                                [(session_id, desired, rng)], relabel)
+                                [(session_id, desired, rng)])
     return _finish_session(layout, conns, pending, expected)
 
 
@@ -331,7 +329,7 @@ class TrialStats:
 
 
 def run_trials(trials: int, params: SystemParams, seed: int,
-               transport: str = "memory", relabel: bool = True,
+               transport: str = "memory",
                desired: Optional[int] = None,
                layout: Optional[PartitionLayout] = None) -> TrialStats:
     """Run `trials` sessions against a fresh deployment.
@@ -376,8 +374,7 @@ def run_trials(trials: int, params: SystemParams, seed: int,
                                         sent + window - len(in_flight)))
                 in_flight.extend(_send_sessions(params, dist, conns, (
                     (i, i % params.n_messages if desired is None else desired,
-                     derived_rng(seed, "session", i)) for i in batch),
-                    relabel))
+                     derived_rng(seed, "session", i)) for i in batch)))
                 sent = batch.stop
             pending = in_flight.popleft()
             k = pending.desired

@@ -1,4 +1,4 @@
-"""Brute-force mutual information: the reference for the rank oracle.
+"""References for the rank oracle, per desired index.
 
 `brute_mi_oracle` sums the joint law of (undesired messages, view) over
 every message assignment, key value and base vector, running the real
@@ -6,16 +6,28 @@ scheme to produce each view. Its cost is N^K * 2^(K L + s) views per
 desired index, so it only serves tiny shapes, where it checks
 `alpir.exact_mi_oracle` by a route that shares nothing with it but
 `answer`.
+
+`unreduced_mi_oracle` is the rank oracle without its symmetry
+reduction: it visits every desired index and every value of the desired
+coordinate, at K N times the `answer` calls.
 """
 
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 
-from alpir import (BitString, MessageStore, OracleResult, PathChoice,
-                   PathClass, answer, classify_base, make_queries,
-                   path_distribution)
-from alpir.leakage import message_space
+from alpir import (BitString, MessageStore, PathChoice, PathClass, answer,
+                   classify_base, make_queries, path_distribution)
+from alpir.leakage import _probe_store, _rank, message_space
+
+
+@dataclass(frozen=True)
+class BruteResult:
+    """Mutual information per desired index, and its maximum."""
+
+    max_bits: float
+    per_message: tuple[float, ...]
 
 
 def brute_states(params, layout, message_support=None) -> int:
@@ -25,7 +37,7 @@ def brute_states(params, layout, message_support=None) -> int:
     return params.n_databases ** params.n_messages * msgs << layout.key_bits
 
 
-def brute_mi_oracle(params, layout, message_support=None) -> OracleResult:
+def brute_mi_oracle(params, layout, message_support=None) -> BruteResult:
     """I(undesired messages; queries, answers) by full enumeration.
 
     The messages are uniform, or uniform over message_support, a list of
@@ -77,7 +89,46 @@ def brute_mi_oracle(params, layout, message_support=None) -> OracleResult:
         for (rest, view), pr in joint.items():
             mi += pr * math.log2(pr / (rest_marg[rest] * view_marg[view]))
         per_message.append(max(0.0, mi))
-    return OracleResult(max(per_message), tuple(per_message))
+    return BruteResult(max(per_message), tuple(per_message))
+
+
+def unreduced_mi_oracle(params, layout) -> tuple[float, ...]:
+    """The rank oracle's bits for each desired index, from every base.
+
+    The known columns for desired j are the key and W_j's slots of the
+    probe store, whose subpacket v of message j sits at bit j(N-1) + v of
+    an open part and one bit higher in a masked part.
+    """
+    n, k = params.n_databases, params.n_messages
+    dist = path_distribution(params)
+    store, probe, _ = _probe_store(n, k)
+    per_message = []
+    for desired in range(k):
+        own = sum(1 << (desired * (n - 1) + v) for v in range(n - 1))
+        known_masked, known_open = 1 | own << 1, own
+        low_bits = high_bits = 0
+        for others in itertools.combinations_with_replacement(range(n),
+                                                               k - 1):
+            weight = math.factorial(k - 1)
+            for v in range(n):
+                weight //= math.factorial(others.count(v))
+            for first in range(n):
+                base = (*others[:desired], first, *others[desired:])
+                path_class = classify_base(base, desired)
+                answers = [answer(store, probe, qv) for qv in make_queries(
+                    PathChoice(base, desired, path_class), params)]
+                masked = [a.masked.value for a in answers]
+                open_ = [a.open.value for a in answers]
+                bits = (layout.key_bits * (
+                    _rank(masked) - _rank(m & known_masked for m in masked))
+                    + layout.open_subpacket_bits * (
+                    _rank(open_) - _rank(o & known_open for o in open_)))
+                if path_class is PathClass.LOW:
+                    low_bits += bits
+                else:
+                    high_bits += weight * bits
+        per_message.append(max(0.0, dist.p * low_bits + dist.q * high_bits))
+    return tuple(per_message)
 
 
 def _answer_key(a) -> tuple:

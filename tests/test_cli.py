@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from alpir.cli import BOUNDS_FIELDS, DEFAULTS, _bool_cast, main, parse_grid
+from alpir.cli import BOUNDS_FIELDS, DEFAULTS, main, parse_grid
 from alpir.selfcheck import run_all
 from bounds_reference import reference_forms, ulps
 
@@ -225,6 +225,15 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_cost_sigma_keeps_its_bits_at_large_eps(self, capsys):
+        """The cost audit's sigma took 1 - low_total, which cancelled to 0
+        at eps = 40, so the audit fell back to an exact-equality test."""
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "2",
+                                 "--l", "4", "--eps", "40", "--delta", "0.5",
+                                 "--trials", "200", "--seed", "1")
+        assert code == 0, err
+        assert "cost: empirical=1 expected=1 sigma=1.46e-10 ok" in out
+
     def test_leakage_keeps_its_bits_at_large_eps(self, capsys):
         """The high-cost weight 1 - N p once cancelled to 0 at eps = 40:
         effective_delta=0 and analytic=0, next to oracle=1.6993417e-17."""
@@ -388,8 +397,8 @@ class TestCliGolden:
 
 class TestSimulateLargeMessages:
     """The rank oracle's cost does not grow with L, so simulate prints its
-    exact value at every L, equal to the closed form; only shapes over its
-    answer-call cap (N=2 K=255) are skipped."""
+    exact value at every L, equal to the closed form, and at K=255 for
+    N=2; only shapes over its answer-call cap (N=3 K=255) are skipped."""
 
     @staticmethod
     def leakage_line(out: str) -> dict:
@@ -410,8 +419,17 @@ class TestSimulateLargeMessages:
         assert leak["oracle"] == leak["analytic"]
         assert "decode_failures=0" in out
 
-    def test_oracle_skipped_over_call_cap(self, capsys):
+    def test_oracle_exact_at_wide_k(self, capsys):
+        """510 answer calls; the unreduced oracle would take 260,100."""
         code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k",
+                                 "255", "--l", "40", "--eps", "0.5",
+                                 "--delta", "0.5", "--trials", "300")
+        assert code == 0, err
+        leak = self.leakage_line(out)
+        assert leak["oracle"] == leak["analytic"] == "20"
+
+    def test_oracle_skipped_over_call_cap(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", "--k",
                                  "255", "--l", "40", "--eps", "0.5",
                                  "--delta", "0.5", "--trials", "300")
         assert code == 0, err
@@ -494,13 +512,9 @@ class TestConfigPrecedence:
                                "choose from csv, json-lines\n")
                 assert not out_path.exists()
 
-    def test_bool_cast(self):
-        assert _bool_cast("1") and _bool_cast("True") and _bool_cast(" yes ")
-        assert not _bool_cast("0") and not _bool_cast("off")
-
     def test_defaults_are_complete(self):
         # every caster key has a default, so resolve_config can't KeyError
         assert set(DEFAULTS) == {
             "n", "k", "l", "eps", "delta", "eps_grid", "delta_grid",
             "trials", "seed", "out", "format", "transport",
-            "no_db_relabel", "inject_key_deficit"}
+            "inject_key_deficit"}

@@ -3,7 +3,8 @@
 The oracle values are frozen from hand calculations of the mutual
 information, not from the analytic code path (which the oracle is meant
 to check in the first place), and the rank oracle is checked against
-the brute-force enumeration in oracle_reference.
+the brute-force enumeration and the unreduced rank oracle in
+oracle_reference.
 """
 
 import hashlib
@@ -19,11 +20,12 @@ from alpir import (StateSpaceError, SystemParams, analytic_db_leakage,
                    analytic_user_ratio, db_leak_budget_bits,
                    empirical_cost_audit, empirical_query_audit,
                    exact_mi_oracle, layout_for_key_bits, leakage,
-                   leakage_report, path_distribution, plan_partition,
+                   path_distribution, plan_partition,
                    ratio_audit_from_counts)
 from alpir.leakage import LEAK_TOL_BITS
 from alpir.selfcheck import ORACLE_INSTANCES
-from oracle_reference import brute_mi_oracle, brute_states
+from oracle_reference import (brute_mi_oracle, brute_states,
+                              unreduced_mi_oracle)
 
 EXACT = 1e-12
 ORACLE_TOL = 1e-9
@@ -80,9 +82,6 @@ class TestExactOracle:
     def test_worked_point(self):
         res = exact_mi_oracle(WORKED, WORKED_LAYOUT)
         assert res.max_bits == pytest.approx(0.8, abs=ORACLE_TOL)
-        assert len(res.per_message) == 2
-        for v in res.per_message:
-            assert v == pytest.approx(0.8, abs=ORACLE_TOL)
 
     def test_full_key_instance(self):
         p = SystemParams(2, 2, 2, 0.0, 0.0)
@@ -128,22 +127,17 @@ class TestExactOracle:
         with pytest.raises(ValueError):
             brute_mi_oracle(WORKED, WORKED_LAYOUT, message_support=[])
 
-    def test_per_message_asymmetry_with_unequal_budgets(self):
-        # desired index is part of the oracle's conditioning, so the
-        # tuple is ordered by desired message
-        res = exact_mi_oracle(WORKED, WORKED_LAYOUT)
-        assert isinstance(res.per_message, tuple)
-        assert res.max_bits == max(res.per_message)
-
-    def test_state_cap_enforced(self):
-        # The worked example takes K N C(K+N-2, N-1) N = 2*2*2*2 = 16
-        # answer calls.
+    def test_state_cap_enforced(self, monkeypatch):
+        # The worked example takes C(K+N-2, N-1) N = 2*2 = 4 answer calls.
+        monkeypatch.setattr(leakage, "ORACLE_CALL_CAP", 3)
         with pytest.raises(StateSpaceError):
-            exact_mi_oracle(WORKED, WORKED_LAYOUT, call_cap=15)
-        res = exact_mi_oracle(WORKED, WORKED_LAYOUT, call_cap=16)
+            exact_mi_oracle(WORKED, WORKED_LAYOUT)
+        monkeypatch.setattr(leakage, "ORACLE_CALL_CAP", 4)
+        res = exact_mi_oracle(WORKED, WORKED_LAYOUT)
         assert res.max_bits == pytest.approx(0.8, abs=ORACLE_TOL)
 
     def test_answer_calls_do_not_depend_on_l(self):
+        # C(K+N-2, N-1) N = C(4, 1) * 2 = 8 at N=2 K=4
         calls = []
         for l in (16, 1 << 22):
             p = SystemParams(2, 4, l, 0.5, 0.1)
@@ -151,7 +145,7 @@ class TestExactOracle:
                             wraps=leakage.answer) as spy:
                 exact_mi_oracle(p, plan_partition(p))
             calls.append(spy.call_count)
-        assert calls == [4 * 2 * 4 * 2] * 2
+        assert calls == [8] * 2
 
 
 # The rank oracle against the brute-force reference, which enumerates
@@ -162,11 +156,12 @@ EPS_VALUES = (0.0, math.log(1.5), 3.0, math.inf)
 
 
 def assert_matches_brute(p, lay):
-    got = exact_mi_oracle(p, lay).per_message
+    # Every desired index leaks what the reduced oracle computes.
+    got = exact_mi_oracle(p, lay).max_bits
     want = brute_mi_oracle(p, lay).per_message
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, abs=EXACT)
+    assert len(want) == p.n_messages
+    for w in want:
+        assert got == pytest.approx(w, abs=EXACT)
 
 
 class TestRankMatchesBrute:
@@ -197,6 +192,24 @@ class TestRankMatchesBrute:
             assert_matches_brute(p, layout_for_key_bits(p, s))
 
 
+class TestReducedMatchesUnreduced:
+    """The reduction to one desired index and one value of its coordinate
+    changes no bit: every per-desired value of the unreduced loop equals
+    max_bits exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 5), k=st.integers(2, 6),
+           per_sub=st.integers(1, 3), data=st.data(),
+           eps=st.one_of(st.sampled_from((0.0, math.inf)),
+                         st.floats(0.0, 60.0)))
+    def test_bitwise(self, n, k, per_sub, data, eps):
+        key_bits = data.draw(st.integers(0, per_sub), label="key_bits")
+        p = SystemParams(n, k, per_sub * (n - 1), eps, 0.0)
+        lay = layout_for_key_bits(p, key_bits)
+        got = exact_mi_oracle(p, lay).max_bits
+        assert unreduced_mi_oracle(p, lay) == (got,) * k
+
+
 class TestRankMatchesClosedForm:
     @pytest.mark.parametrize("shape", [
         (2, 2, 3, math.log(1.5), 4 / 15),
@@ -204,12 +217,11 @@ class TestRankMatchesClosedForm:
         (5, 4, 16, 0.5, 0.1),
     ], ids=["small-mem", "large-tcp", "n5-k4"])
     def test_shape(self, shape):
-        # The closed form holds for every desired index, not only the max.
         p = SystemParams(*shape)
         lay = plan_partition(p)
         analytic = analytic_db_leakage(p, lay)
-        for bits in exact_mi_oracle(p, lay).per_message:
-            assert abs(bits - analytic) <= LEAK_TOL_BITS
+        bits = exact_mi_oracle(p, lay).max_bits
+        assert abs(bits - analytic) <= LEAK_TOL_BITS
 
 
 class TestQueryAudit:
@@ -243,19 +255,22 @@ class TestQueryAudit:
 
     def test_counts_from_synthetic_data(self):
         counts = {(0, 0, (1, 0)): 300, (1, 0, (1, 0)): 200}
-        res = ratio_audit_from_counts(counts, 1000, budget=2.0)
+        res = ratio_audit_from_counts(counts, {0: 1000, 1: 1000},
+                                      budget=2.0)
         assert res.max_ratio == pytest.approx(1.5, abs=EXACT)
         assert not res.violation
 
     def test_synthetic_violation_flagged(self):
         counts = {(0, 0, (1, 0)): 9000, (1, 0, (1, 0)): 1000}
-        res = ratio_audit_from_counts(counts, 10000, budget=1.5)
+        res = ratio_audit_from_counts(counts, {0: 10000, 1: 10000},
+                                      budget=1.5)
         assert res.max_ratio == pytest.approx(9.0, abs=EXACT)
         assert res.violation
 
     def test_unbounded_budget_never_violates(self):
         counts = {(0, 0, (1, 0)): 9000, (1, 0, (1, 0)): 1, (1, 0, (0, 0)): 8999}
-        res = ratio_audit_from_counts(counts, 9000, budget=math.inf)
+        res = ratio_audit_from_counts(counts, {0: 9000, 1: 9000},
+                                      budget=math.inf)
         assert not res.violation
 
     def test_per_desired_trial_counts(self):
@@ -319,31 +334,6 @@ class TestCostAudit:
     def test_minimum_trials(self):
         with pytest.raises(ValueError):
             empirical_cost_audit(10, WORKED, seed=0)
-
-
-class TestLeakageReport:
-    def test_worked_point(self):
-        rep = leakage_report(WORKED, trials=3000, seed=21)
-        assert rep.user_ratio_analytic == pytest.approx(1.5, abs=EXACT)
-        assert rep.db_leak_analytic_bits == pytest.approx(0.8, abs=EXACT)
-        assert rep.db_leak_exact_bits == pytest.approx(0.8, abs=ORACLE_TOL)
-        assert rep.db_leak_budget_bits == pytest.approx(0.8, abs=EXACT)
-        assert abs(rep.user_ratio_empirical
-                   - rep.user_ratio_analytic) <= rep.user_ratio_halfwidth
-
-    def test_oracle_skipped_when_state_space_too_large(self):
-        # N=10 K=4: 4 * 10 * C(12, 9) * 10 = 88,000 answer calls
-        p = SystemParams(10, 4, 9, 0.5, 0.1)
-        rep = leakage_report(p, trials=1000, seed=0)
-        assert rep.db_leak_exact_bits is None
-
-    def test_dict_round_trip_keys(self):
-        rep = leakage_report(WORKED, trials=1000, seed=2)
-        d = rep.to_dict()
-        for key in ("user_ratio_analytic", "user_ratio_empirical",
-                    "user_ratio_halfwidth", "db_leak_analytic_bits",
-                    "db_leak_exact_bits", "db_leak_budget_bits", "trials"):
-            assert key in d
 
 
 class TestBudgetGuarantee:

@@ -179,13 +179,6 @@ class TestRunTrials:
         tcp = run_trials(150, WORKED, seed=6, transport="tcp")
         assert mem.records == tcp.records
 
-    def test_relabeling_changes_nothing_observable(self):
-        on = run_trials(200, WORKED, seed=7, relabel=True)
-        off = run_trials(200, WORKED, seed=7, relabel=False)
-        assert on.decode_failures == off.decode_failures == 0
-        assert [r.bits_downloaded for r in on.records] == \
-               [r.bits_downloaded for r in off.records]
-
     def test_pinned_desired(self):
         stats = run_trials(100, WORKED, seed=3, desired=1)
         assert stats.trials_per_message == {1: 100}
@@ -247,11 +240,14 @@ class TestDeterminismGolden:
         (SystemParams(2, 64, 40, 44.0, 0.5),
          "d47d570b2deafb61a5df5d7462116ef0fb25b463a120422c224d66460054b3ff"),
         (SystemParams(3, 40, 40, 43.0, 0.5),
-         "19a9fb5f4124fb4c622c200aa3274523ace46a72893c8f06e39eac6316f28840"),
+         "b4e45b28b5001b00e88a24632d55413be0ba140690905f987f1ab70e02241622"),
     ], ids=["n2-k64", "n3-k40"])
     def test_wide_cost_audit_digest(self, params, digest):
         """One RNG serves all 2,000 paths, and about half of them are
-        low-cost, so the count pins the RNG state each draw leaves."""
+        low-cost, so the count pins the RNG state each draw leaves. The
+        n3-k40 row was re-pinned when sigma started to take high_total in
+        place of 1 - low_total: sigma's last digit went from ...525 to
+        ...524, and mean_cost, expected and violation did not move."""
         res = empirical_cost_audit(2000, params, seed=3)
         assert hashlib.sha256(repr(res.to_dict()).encode()).hexdigest() == \
             digest
