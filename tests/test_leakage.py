@@ -199,11 +199,11 @@ class TestReducedMatchesUnreduced:
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 5), k=st.integers(2, 6),
-           per_sub=st.integers(1, 3), data=st.data(),
+           per_sub=st.integers(1, 3), key_bits=st.integers(0, 3),
            eps=st.one_of(st.sampled_from((0.0, math.inf)),
                          st.floats(0.0, 60.0)))
-    def test_bitwise(self, n, k, per_sub, data, eps):
-        key_bits = data.draw(st.integers(0, per_sub), label="key_bits")
+    def test_bitwise(self, n, k, per_sub, key_bits, eps):
+        assume(key_bits <= per_sub)
         p = SystemParams(n, k, per_sub * (n - 1), eps, 0.0)
         lay = layout_for_key_bits(p, key_bits)
         got = exact_mi_oracle(p, lay).max_bits
