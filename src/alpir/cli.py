@@ -58,6 +58,8 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be a:b:s, got {text!r}")
     a, b, s = (float(x) for x in parts)
+    if not all(map(math.isfinite, (a, b, s))):
+        raise ValueError(f"grid {text!r} needs finite a, b and s")
     if s <= 0 or b < a:
         raise ValueError(f"grid {text!r} needs b >= a and s > 0")
     count = int(math.floor((b - a) / s + 1e-9)) + 1

@@ -30,6 +30,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .bits import BitString
@@ -37,7 +38,7 @@ from .params import SystemParams
 from .scheme import (MessageStore, PartitionLayout, PathChoice,
                      PathClass, PathDistribution, answer, classify_base,
                      expected_cost, make_queries, path_distribution,
-                     plan_partition, sample_path, session_download_bits)
+                     plan_partition, sample_bases, session_download_bits)
 from .seeding import derived_rng
 
 # Most `answer` calls exact_mi_oracle may make, C(K+N-2, N-1) N; the count
@@ -157,8 +158,14 @@ def exact_mi_oracle(params: SystemParams,
             low_bits += bits
         else:
             high_bits += weight * bits
-    return OracleResult(max(0.0, dist.p * (n * low_bits)
-                            + dist.q * (n * high_bits)))
+    high_bits *= n
+    if dist.q < 2.0 ** -1022 or high_bits.bit_length() > 1024:
+        # q is subnormal or zero, or the sum overflows a float: weight the
+        # mean over the N^K - N high-cost bases, an int quotient.
+        high = dist.high_total * (high_bits / (n ** k - n))
+    else:
+        high = dist.q * high_bits
+    return OracleResult(max(0.0, dist.p * (n * low_bits) + high))
 
 
 def _probe_store(n: int, k: int) -> tuple[MessageStore, PartitionLayout,
@@ -265,8 +272,8 @@ def empirical_query_audit(trials: int, params: SystemParams,
     counts = {}
     for desired in range(params.n_messages):
         rng = derived_rng(seed, "query-audit", desired)
-        bases = Counter(sample_path(dist, desired, rng).base
-                        for _ in range(trials))
+        bases = Counter(map(itemgetter(0), sample_bases(
+            dist, itertools.repeat(desired, trials), rng)))
         for base, c in bases.items():
             choice = PathChoice(base, desired, classify_base(base, desired))
             for db, qv in enumerate(make_queries(choice, params)):
@@ -315,22 +322,20 @@ def cost_audit_from_mean(params: SystemParams, layout: PartitionLayout,
 
 def empirical_cost_audit(trials: int, params: SystemParams,
                          seed: int) -> CostAuditResult:
-    """Monte-Carlo mean of per-session download bits / L, with a 3-sigma flag."""
+    """Monte-Carlo mean of per-session download bits / L, with a 3-sigma
+    flag. Session t asks for message t mod K, and the mean is the exact
+    total bits over L * trials, rounded once, as `run_trials` takes it."""
     if trials < MIN_AUDIT_TRIALS:
         raise ValueError(f"need at least {MIN_AUDIT_TRIALS} trials")
-    import numpy as np
     layout = plan_partition(params)
-    dist = path_distribution(params)
-    l = params.message_bits
-    low_cost = session_download_bits(layout, PathClass.LOW) / l
-    high_cost = session_download_bits(layout, PathClass.HIGH) / l
-    rng = derived_rng(seed, "cost-audit")
-    k = params.n_messages
-    costs = np.empty(trials)
-    for t in range(trials):
-        choice = sample_path(dist, t % k, rng)
-        costs[t] = low_cost if choice.path_class is PathClass.LOW else high_cost
-    return cost_audit_from_mean(params, layout, float(costs.mean()), trials)
+    desired = itertools.islice(itertools.cycle(range(params.n_messages)),
+                               trials)
+    n_low = sum(map(itemgetter(1), sample_bases(
+        path_distribution(params), desired, derived_rng(seed, "cost-audit"))))
+    bits = (n_low * session_download_bits(layout, PathClass.LOW)
+            + (trials - n_low) * session_download_bits(layout, PathClass.HIGH))
+    return cost_audit_from_mean(
+        params, layout, bits / (params.message_bits * trials), trials)
 
 
 @dataclass(frozen=True)

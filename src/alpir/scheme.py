@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import bits
 from .bits import BitString
@@ -162,12 +162,14 @@ def classify_base(base: Sequence[int], desired: int) -> PathClass:
     return PathClass.LOW
 
 
-# Draw count from which `_draw_below` reads words in batches. A batch
+# Draw count from which `sample_bases` reads words in batches. A batch
 # round costs a getrandbits, a to_bytes and a translate, and where half
 # the words are rejected (n a power of two) a batch takes several rounds,
-# so few draws are faster one by one. Measured on CPython 3.11 in
-# `sample_path` at N = 2 and N = 128, the batch took 1.06-1.07x the
-# loop's time at 5 draws, 0.99-1.02x at 6 and 7, and 0.95-0.97x at 8.
+# so few draws are faster one by one. The value was set against a loop of
+# randrange calls. Against the loop of getrandbits reads, on a 2-vCPU x86
+# host under CPython 3.11, the batch took 1.5x the loop's time at 8-16
+# draws at N = 2 and N = 128 and 0.7x at 254, so the crossover is nearer
+# 64 draws.
 _BATCH_MIN_DRAWS = 7
 
 
@@ -181,19 +183,16 @@ def _top_byte_tables(n: int) -> tuple[bytes, bytes]:
             bytes(b for b in range(256) if b >> shift >= n))
 
 
-def _draw_below(n: int, m: int, rng) -> Sequence[int]:
-    """The values of m calls rng.randrange(n), leaving rng in the same state.
+def _draw_below(n: int, m: int, rng: random.Random) -> bytes:
+    """The values of m calls rng.randrange(n), n <= 255, leaving the exact
+    `random.Random` rng in the same state.
 
     randrange(n) keeps a 32-bit word w iff w >> (32 - k) < n, with
     k = n.bit_length(), and getrandbits(32 j) returns j consecutive words,
     lowest first. For n <= 255 only the top byte of w matters, so each
     round reads one word per value still missing and keeps the accepted
     top bytes; no round reads past the word that completes the last value.
-    Only an exact `random.Random` is batched, since a subclass may draw
-    differently.
     """
-    if type(rng) is not random.Random or n > 255 or m < _BATCH_MIN_DRAWS:
-        return [rng.randrange(n) for _ in range(m)]
     table, reject = _top_byte_tables(n)
     out = b""
     while len(out) < m:
@@ -203,31 +202,67 @@ def _draw_below(n: int, m: int, rng) -> Sequence[int]:
     return out
 
 
-def sample_path(dist: PathDistribution, desired: int, rng) -> PathChoice:
-    """Draw one base vector without enumerating the N^K-point support.
+def sample_bases(dist: PathDistribution, desired: Iterable[int],
+                 rng) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Draw one path per desired index, in order, all from rng, and yield
+    (base, is_low) for each, without enumerating the N^K-point support.
 
-    The draws are, in order: rng.randrange(N) for the desired coordinate,
-    rng.random() for the class, and on a high-cost path K-1 more
-    randrange(N) for the other coordinates, all drawn again while all are
-    zero. Those K-1 values read the same Mersenne-Twister words as K-1
-    randrange(N) calls, so the path and the state left in rng are exactly
-    those of a per-draw loop. The words are read in batches when rng is
-    exactly `random.Random`, N <= 255 and K-1 >= 7; otherwise the loop
-    itself runs.
+    The draws of a path are, in order: randrange(N) for the desired
+    coordinate, rng.random() for the class, and on a high-cost path K-1
+    more randrange(N) for the other coordinates, all drawn again while all
+    are zero. On an exact `random.Random` a randrange(N) is read as
+    CPython 3.10-3.13 read it: getrandbits(N.bit_length()), again while
+    the value is N or more. The K-1 other coordinates are read in batches
+    by `_draw_below` when N <= 255 and K-1 >= _BATCH_MIN_DRAWS. So the
+    paths and the state left in rng are exactly those of the randrange
+    calls. A subclass may draw differently, so it gets one randrange call
+    per coordinate.
     """
     n, k = dist.n_databases, dist.n_messages
-    if not 0 <= desired < k:
-        raise ValueError("desired message index out of range")
-    first = rng.randrange(n)
-    if rng.random() < dist.low_total:
-        base = [0] * k
-        base[desired] = first
-        return PathChoice(tuple(base), desired, PathClass.LOW)
-    others = _draw_below(n, k - 1, rng)
-    while not any(others):
-        others = _draw_below(n, k - 1, rng)
-    return PathChoice((*others[:desired], first, *others[desired:]),
-                      desired, PathClass.HIGH)
+    low_total = dist.low_total
+    uniform = rng.random
+    exact = type(rng) is random.Random
+    if exact:
+        draw, width = rng.getrandbits, n.bit_length()
+    else:
+        # randrange(n) is below n, so the loops below never draw again.
+        draw, width = rng.randrange, n
+    batched = exact and n <= 255 and k > _BATCH_MIN_DRAWS
+    for i in desired:
+        if not 0 <= i < k:
+            raise ValueError("desired message index out of range")
+        first = draw(width)
+        while first >= n:
+            first = draw(width)
+        if uniform() < low_total:
+            base = [0] * k
+            base[i] = first
+            yield tuple(base), True
+            continue
+        while True:
+            if batched:
+                others = _draw_below(n, k - 1, rng)
+            else:
+                others = []
+                for _ in range(k - 1):
+                    r = draw(width)
+                    while r >= n:
+                        r = draw(width)
+                    others.append(r)
+            if any(others):
+                break
+        yield (*others[:i], first, *others[i:]), False
+
+
+# PathClass by is_low. Reading an Enum member off its class takes about
+# 0.14 us on CPython 3.11; indexing this takes 0.03 us.
+_CLASS_OF = (PathClass.HIGH, PathClass.LOW)
+
+
+def sample_path(dist: PathDistribution, desired: int, rng) -> PathChoice:
+    """One path of `sample_bases`, drawn the same way."""
+    (base, low), = sample_bases(dist, (desired,), rng)
+    return PathChoice(base, desired, _CLASS_OF[low])
 
 
 @dataclass(frozen=True)

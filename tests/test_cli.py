@@ -170,6 +170,17 @@ class TestSweepCommand:
         assert code == 2
         assert "bounds --n 1" in err
 
+    @pytest.mark.parametrize("flag, grid", [
+        ("--eps-grid", "0:inf:1"), ("--eps-grid", "inf:inf:1"),
+        ("--delta-grid", "0:1:inf"), ("--delta-grid", "nan:1:0.5"),
+    ])
+    def test_non_finite_grid_is_a_clean_error(self, capsys, flag, grid):
+        """0:inf:1 once ended in an OverflowError traceback."""
+        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--k", "2",
+                                 flag, grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: grid {grid!r} needs finite a, b and s\n"
+
     def test_bad_first_row_opens_no_out_file(self, capsys, tmp_path):
         """The first row is built before --out is opened, so a bad
         parameter leaves no file behind."""
@@ -294,6 +305,14 @@ class TestVerifyCommand:
         assert code == 0
         point = out.splitlines()[-2]
         assert point.startswith("PASS point-leakage: oracle=")
+
+    def test_point_oracle_past_the_double_range(self, capsys):
+        """N=2 K=1100: the oracle's weighted HIGH sum passes 2^1024. It
+        once ended in an OverflowError traceback from q times that int."""
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "1100",
+                                 "--l", "2", "--eps", "0.5", "--delta", "0.5")
+        assert code == 0, err
+        assert "PASS point-leakage: oracle=1 analytic=1 budget=1\n" in out
 
     def test_single_server_short_circuit(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "1", "--k", "4",

@@ -1,19 +1,20 @@
-"""Exact path draws: batched Mersenne-Twister reads against per-draw loops.
+"""Exact path draws: inlined and batched Mersenne-Twister reads against
+per-draw loops.
 
-`sample_path` reads the words of K-1 rng.randrange(N) calls in batches.
-The references below are the per-draw loops it replaces; the batch must
-give the same values and leave the same generator state, on every
-CPython the package supports.
+`sample_bases` reads the words of each rng.randrange(N) call itself, and
+those of K-1 such calls in batches. The references below are the
+randrange loops it replaces; it must give the same values and leave the
+same generator state, on every CPython the package supports.
 """
 
 import random
-from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alpir import PathClass, sample_path, scheme
-from alpir.scheme import PathChoice, PathDistribution
+from alpir.scheme import PathChoice, PathDistribution, sample_bases
 
 SEEDS = st.integers(min_value=0, max_value=2**128)
 
@@ -41,27 +42,36 @@ def loop_sample_path(dist, desired, rng):
     return PathChoice(tuple(base), desired, PathClass.HIGH)
 
 
-def counting_randrange(monkeypatch):
-    """Count rng.randrange calls on every exact random.Random."""
-    calls = []
-    inner = random.Random.randrange
+def counting_getrandbits(monkeypatch):
+    """The width of every rng.getrandbits call on every exact
+    random.Random, randrange's own calls included."""
+    widths = []
+    inner = random.Random.getrandbits
 
-    def randrange(self, *args):
-        calls.append(args)
-        return inner(self, *args)
+    def getrandbits(self, k):
+        widths.append(k)
+        return inner(self, k)
 
-    monkeypatch.setattr(random.Random, "randrange", randrange)
-    return calls
+    monkeypatch.setattr(random.Random, "getrandbits", getrandbits)
+    return widths
+
+
+def loop_reads(monkeypatch, dist, desired, seed):
+    """`loop_sample_path`'s path, getrandbits widths and final state."""
+    widths = counting_getrandbits(monkeypatch)
+    rng = random.Random(seed)
+    choice = loop_sample_path(dist, desired, rng)
+    monkeypatch.undo()
+    return choice, widths, rng.getstate()
 
 
 class TestDrawBelow:
     @settings(max_examples=300, deadline=None)
     @given(seed=SEEDS, n=st.integers(2, 255), m=st.integers(1, 254))
     def test_batch_matches_loop(self, seed, n, m):
-        """The batch at every draw count, the crossover lowered to 1."""
+        """The batch at every draw count, below the crossover too."""
         a, b = random.Random(seed), random.Random(seed)
-        with mock.patch.object(scheme, "_BATCH_MIN_DRAWS", 1):
-            got = scheme._draw_below(n, m, a)
+        got = scheme._draw_below(n, m, a)
         assert isinstance(got, bytes)
         assert list(got) == loop_draws(n, m, b)
         assert a.getstate() == b.getstate()
@@ -94,30 +104,33 @@ class TestSamplePathExact:
         assert a.getstate() == b.getstate()
 
     def test_high_cost_reads_in_batches(self, monkeypatch):
-        calls = counting_randrange(monkeypatch)
+        widths = counting_getrandbits(monkeypatch)
         dist = PathDistribution(2, 255, 0.0, 1.0)
         assert sample_path(dist, 3, random.Random(1)).path_class is \
             PathClass.HIGH
-        assert calls == [(2,)]          # the desired coordinate only
+        batch = widths.index(32 * 254)
+        assert set(widths[:batch]) == {2}   # the desired coordinate only
+        assert all(w % 32 == 0 for w in widths[batch:])
 
     def test_below_crossover_takes_loop(self, monkeypatch):
-        """K-1 = 4 draws, as on every `audit` shape, stay per call."""
-        calls = counting_randrange(monkeypatch)
+        """K-1 = 4 draws, as on every `audit` shape, read one word each,
+        as randrange reads them."""
         dist = PathDistribution(2, 5, 0.0, 1.0)
-        rng = random.Random(2)
-        sample_path(dist, 0, rng)
-        assert len(calls) % 4 == 1 and len(calls) >= 5
+        path, want, state = loop_reads(monkeypatch, dist, 0, 2)
+        widths = counting_getrandbits(monkeypatch)
+        a = random.Random(2)
+        assert sample_path(dist, 0, a) == path
+        assert widths == want and set(widths) == {2} and len(widths) >= 5
+        assert a.getstate() == state
 
     def test_n_above_255_takes_loop(self, monkeypatch):
-        calls = counting_randrange(monkeypatch)
         dist = PathDistribution(300, 20, 0.0, 1.0)
+        path, want, state = loop_reads(monkeypatch, dist, 5, 3)
+        widths = counting_getrandbits(monkeypatch)
         a = random.Random(3)
-        choice = sample_path(dist, 5, a)
-        assert len(calls) == 20
-        monkeypatch.undo()
-        b = random.Random(3)
-        assert choice == loop_sample_path(dist, 5, b)
-        assert a.getstate() == b.getstate()
+        assert sample_path(dist, 5, a) == path
+        assert widths == want and set(widths) == {9} and len(widths) >= 20
+        assert a.getstate() == state
 
     def test_subclass_takes_loop(self):
         """A subclass may draw differently, so it gets one randrange per
@@ -135,4 +148,29 @@ class TestSamplePathExact:
         assert a.calls == 255
         b = random.Random(4)
         assert choice == loop_sample_path(dist, 0, b)
+        assert a.getstate() == b.getstate()
+
+
+class TestSampleBases:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, n=st.integers(2, 300), k=st.integers(2, 40),
+           data=st.data(), low_total=st.floats(0.0, 1.0))
+    def test_matches_loop(self, seed, n, k, data, low_total):
+        """Many paths from one generator, desired indices mixed: the
+        same paths as one `loop_sample_path` each, and the same state."""
+        desired = data.draw(st.lists(st.integers(0, k - 1), max_size=12))
+        dist = PathDistribution(n, k, low_total / n, 0.0)
+        a, b = random.Random(seed), random.Random(seed)
+        got = list(sample_bases(dist, desired, a))
+        want = [loop_sample_path(dist, i, b) for i in desired]
+        assert got == [(c.base, c.path_class is PathClass.LOW) for c in want]
+        assert a.getstate() == b.getstate()
+
+    def test_bad_index_stops_before_its_draws(self):
+        dist = PathDistribution(3, 4, 0.1, 0.05)
+        a, b = random.Random(6), random.Random(6)
+        paths = sample_bases(dist, (1, 4, 2), a)
+        assert next(paths) == next(sample_bases(dist, (1,), b))
+        with pytest.raises(ValueError, match="out of range"):
+            next(paths)
         assert a.getstate() == b.getstate()

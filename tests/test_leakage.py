@@ -9,6 +9,7 @@ oracle_reference.
 
 import hashlib
 import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -318,6 +319,14 @@ class TestCostAudit:
         assert res.expected == pytest.approx(1.6, abs=EXACT)
         assert abs(res.mean_cost - 1.6) <= 3 * res.sigma
         assert not res.violation
+
+    def test_mean_is_exact(self):
+        """The total bits over L * trials, rounded once: the nearest
+        double to 479,930 / 300,000. A numpy mean of the per-session
+        costs once gave 1.5997666666666668."""
+        res = empirical_cost_audit(100_000, WORKED, 1)
+        assert res.mean_cost == 1.5997666666666666
+        assert res.mean_cost == float(Fraction(479_930, 300_000))
 
     def test_deterministic(self):
         a = empirical_cost_audit(2000, WORKED, seed=4)

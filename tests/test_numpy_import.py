@@ -1,9 +1,9 @@
 """numpy is imported on the first part of at least bits._PACKED_MIN_BYTES.
 
-Each case runs `alpir simulate` in a fresh interpreter, after importing
-every alpir module a program might, and reports whether numpy was loaded.
-Narrow runs never need it; wide runs import it on first use, possibly on a
-server thread and the client thread at once.
+Each case runs alpir in a fresh interpreter, after importing every alpir
+module a program might, and reports whether numpy was loaded. Narrow runs
+and the in-process checks never need it; wide runs import it on first
+use, possibly on a server thread and the client thread at once.
 """
 
 import os
@@ -32,13 +32,18 @@ WIDE_PARTS = ("--n", "2", "--k", "4", "--l", str(1 << 16), "--eps", "0.5",
               "--delta", "0.3")
 
 
-def simulate_fresh(*args: str) -> str:
+def fresh_env() -> dict:
+    """The environment with this alpir first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(alpir.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run([sys.executable, "-c", SCRIPT, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def simulate_fresh(*args: str) -> str:
+    done = subprocess.run([sys.executable, "-c", SCRIPT, *args],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     assert "decode_failures=0 " in done.stdout
     return done.stdout.splitlines()[-1]
@@ -50,6 +55,29 @@ def simulate_fresh(*args: str) -> str:
 ], ids=["worked-memory", "wide-k-tcp"])
 def test_narrow_run_never_loads_numpy(args):
     assert simulate_fresh(*args, "--seed", "1") == "numpy loaded: False"
+
+
+CHECKS_SCRIPT = """
+import math, sys
+import alpir, alpir.cli, alpir.netsim, alpir.selfcheck
+from alpir import SystemParams, empirical_cost_audit, empirical_query_audit
+assert alpir.cli.main(["verify"]) == 0
+worked = SystemParams(2, 2, 3, math.log(1.5), 4 / 15)
+assert not empirical_query_audit(1000, worked, 1).violation
+assert not empirical_cost_audit(1000, worked, 1).violation
+assert alpir.cli.main(["sweep", "--n", "2,3", "--k", "2,3",
+                       "--eps-grid", "0:1:0.5", "--delta-grid", "0:1:0.5"]) == 0
+print("numpy loaded:", "numpy" in sys.modules)
+"""
+
+
+def test_checks_and_audits_never_load_numpy():
+    """`verify`, both sampled audits at the worked point and a sweep."""
+    done = subprocess.run([sys.executable, "-c", CHECKS_SCRIPT],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
 @pytest.mark.parametrize("transport", ["memory", "tcp"])
