@@ -340,6 +340,15 @@ class TestCostAudit:
         assert res.mean_cost == res.expected
         assert not res.violation
 
+    def test_constant_cost_is_no_violation(self):
+        """delta = 0 leaves no open part, so every session costs N/(N-1)
+        and sigma is 0. A numpy mean of 1,000 costs of 4/3 once read
+        1.333333333333333 and flagged a violation."""
+        res = empirical_cost_audit(1000, SystemParams(4, 2, 3, 0.5, 0.0), 1)
+        assert res.sigma == 0.0
+        assert res.mean_cost == res.expected == 4 / 3
+        assert not res.violation
+
     def test_minimum_trials(self):
         with pytest.raises(ValueError):
             empirical_cost_audit(10, WORKED, seed=0)
