@@ -34,6 +34,7 @@ from .selfcheck import default_message_bits, run_all
 
 ENV_PREFIX = "ALPIR_"
 FORMATS = ("csv", "json-lines")
+MAX_GRID_POINTS = 1 << 20  # the largest grid in use has 101
 
 
 _CASTERS: dict[str, Callable[[str], object]] = {
@@ -62,8 +63,10 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid {text!r} needs finite a, b and s")
     if s <= 0 or b < a:
         raise ValueError(f"grid {text!r} needs b >= a and s > 0")
-    count = int(math.floor((b - a) / s + 1e-9)) + 1
-    return [a + j * s for j in range(count)]
+    steps = (b - a) / s + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has over {MAX_GRID_POINTS} points")
+    return [a + j * s for j in range(int(steps) + 1)]
 
 
 def _int_list(text: str) -> list[int]:

@@ -19,9 +19,8 @@ exact oracle recomputes the mutual information without the closed form:
 the answers are GF(2)-linear in uniform messages and key, so each path
 leaks a rank deficit of its answer matrix, whose rows it reads from the
 real `answer` on a one-bit-per-slot probe store. By the symmetry of the
-scheme it visits one desired index and one value of its coordinate, so
-its cost is C(K+N-2, N-1) N `answer` calls, whatever L is, and it is
-skipped above ORACLE_CALL_CAP calls.
+scheme it visits one base per count of nonzero undesired coordinates,
+K N `answer` calls whatever L is, and is skipped above ORACLE_CALL_CAP.
 """
 
 from __future__ import annotations
@@ -41,9 +40,10 @@ from .scheme import (MessageStore, PartitionLayout, PathChoice,
                      plan_partition, sample_bases, session_download_bits)
 from .seeding import derived_rng
 
-# Most `answer` calls exact_mi_oracle may make, C(K+N-2, N-1) N; the count
-# does not depend on L. N=2 K=255 takes 510 and N=5 K=16 takes 19,380,
-# which fit; N=3 K=255 would take 97,920 and is skipped.
+# Most `answer` calls exact_mi_oracle may make, K N; the count does not
+# depend on L. Query indices are bytes on the wire, so N <= 256 and
+# K <= 255 there, and the worst shape the wire carries, N=256 K=255,
+# takes 65,280 calls, 31-34 s on a 2-vCPU x86 host (CPython 3.11).
 ORACLE_CALL_CAP = 1 << 16
 MIN_AUDIT_TRIALS = 1000
 LEAK_TOL_BITS = 1e-9
@@ -113,7 +113,7 @@ def exact_mi_oracle(params: SystemParams,
     The rows of M and O come from the real `answer` on a probe store (see
     `_probe_store`), not from the closed form.
 
-    Only desired index 0 with x_desired = 0 is visited, scaled by N:
+    One base per count c of nonzero undesired coordinates is visited:
     - Query d of a base sets the desired coordinate to x_desired + d + 1
       mod N and copies the rest, so the N queries sweep every residue
       there and form the same set whatever x_desired is. Ranks do not
@@ -123,49 +123,43 @@ def exact_mi_oracle(params: SystemParams,
       the probe store's slots, and with them the columns of M and O and
       the known columns, and keeps the path class. Ranks do not depend on
       column order, so every desired index leaks the same bits.
-    The undesired coordinates of a base are exchangeable for the same
-    reason, so the bases are visited as multisets of the K-1 undesired
-    values, weighted by their multinomial counts. LOW and HIGH bits are
-    totalled as ints, multiplied by N, and weighted by p and q once,
-    which gives the per-desired sum of every base bit for bit.
+    - Relabelling the subpackets 1..N-1 of one undesired message permutes
+      only its columns, fixing the key's and W_0's, and keeps the path
+      class. So a base leaks as much as any base with the same undesired
+      coordinates nonzero, and, relabelling the undesired messages, as
+      any base with as many (c) nonzero.
+    The base (0, 1 x c, 0 x (K-1-c)) stands for the C(K-1, c) (N-1)^c
+    bases with x_desired = 0 and c nonzero undesired coordinates: c = 0
+    is the low-cost path, and the counts for c >= 1 sum to N^(K-1) - 1.
+    The low-cost mass weights the low-cost leak, and the high-cost mass
+    the high-cost mean, an int quotient that is correctly rounded.
 
-    This takes C(K+N-2, N-1) N `answer` calls, whatever L is, and raises
+    This takes K N `answer` calls, whatever L is, and raises
     StateSpaceError when that exceeds ORACLE_CALL_CAP.
     """
     n, k = params.n_databases, params.n_messages
-    calls = math.comb(k + n - 2, n - 1) * n
-    if calls > ORACLE_CALL_CAP:
+    if k * n > ORACLE_CALL_CAP:
         raise StateSpaceError(
-            f"{calls} answer calls exceed the cap of {ORACLE_CALL_CAP}")
+            f"{k * n} answer calls exceed the cap of {ORACLE_CALL_CAP}")
     dist = path_distribution(params)
     store, probe, (known_masked, known_open) = _probe_store(n, k)
     low_bits = high_bits = 0
-    for others in itertools.combinations_with_replacement(range(n), k - 1):
-        weight = math.factorial(k - 1)
-        for v in range(n):
-            weight //= math.factorial(others.count(v))
-        base = (0, *others)
-        path_class = classify_base(base, 0)
+    for c in range(k):
+        base = (0,) + (1,) * c + (0,) * (k - 1 - c)
         answers = [answer(store, probe, qv) for qv in make_queries(
-            PathChoice(base, 0, path_class), params)]
+            PathChoice(base, 0, classify_base(base, 0)), params)]
         masked = [a.masked.value for a in answers]
         open_ = [a.open.value for a in answers]
         bits = (layout.key_bits * (
             _rank(masked) - _rank(m & known_masked for m in masked))
             + layout.open_subpacket_bits * (
             _rank(open_) - _rank(o & known_open for o in open_)))
-        if path_class is PathClass.LOW:
-            low_bits += bits
+        if c:
+            high_bits += math.comb(k - 1, c) * (n - 1) ** c * bits
         else:
-            high_bits += weight * bits
-    high_bits *= n
-    if dist.q < 2.0 ** -1022 or high_bits.bit_length() > 1024:
-        # q is subnormal or zero, or the sum overflows a float: weight the
-        # mean over the N^K - N high-cost bases, an int quotient.
-        high = dist.high_total * (high_bits / (n ** k - n))
-    else:
-        high = dist.q * high_bits
-    return OracleResult(max(0.0, dist.p * (n * low_bits) + high))
+            low_bits = bits
+    return OracleResult(dist.low_total * low_bits + dist.high_total * (
+        high_bits / (n ** (k - 1) - 1)))
 
 
 def _probe_store(n: int, k: int) -> tuple[MessageStore, PartitionLayout,

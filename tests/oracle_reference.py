@@ -7,9 +7,12 @@ desired index, so it only serves tiny shapes, where it checks
 `alpir.exact_mi_oracle` by a route that shares nothing with it but
 `answer`.
 
-`unreduced_mi_oracle` is the rank oracle without its symmetry
-reduction: it visits every desired index and every value of the desired
-coordinate, at K N times the `answer` calls.
+`unreduced_mi_oracle` is the rank oracle without its reduction to one
+desired index, one value of its coordinate and one base per count of
+nonzero undesired coordinates: it visits every desired index, every
+value of the desired coordinate and every multiset of the undesired
+values, at
+C(K+N-2, N-1) N^2 K `answer` calls against the oracle's K N.
 """
 
 import itertools
@@ -97,7 +100,11 @@ def unreduced_mi_oracle(params, layout) -> tuple[float, ...]:
 
     The known columns for desired j are the key and W_j's slots of the
     probe store, whose subpacket v of message j sits at bit j(N-1) + v of
-    an open part and one bit higher in a masked part.
+    an open part and one bit higher in a masked part. The undesired
+    values are visited as multisets with their multinomial counts, not by
+    the oracle's count of nonzero coordinates. The integer sums over the
+    N low-cost and N^K - N high-cost bases are weighted by their masses
+    as the oracle weights its own.
     """
     n, k = params.n_databases, params.n_messages
     dist = path_distribution(params)
@@ -127,7 +134,8 @@ def unreduced_mi_oracle(params, layout) -> tuple[float, ...]:
                     low_bits += bits
                 else:
                     high_bits += weight * bits
-        per_message.append(max(0.0, dist.p * low_bits + dist.q * high_bits))
+        per_message.append(dist.low_total * (low_bits / n)
+                           + dist.high_total * (high_bits / (n ** k - n)))
     return tuple(per_message)
 
 

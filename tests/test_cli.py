@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from alpir.cli import BOUNDS_FIELDS, DEFAULTS, main, parse_grid
+from alpir.cli import (BOUNDS_FIELDS, DEFAULTS, MAX_GRID_POINTS, main,
+                       parse_grid)
 from alpir.selfcheck import run_all
 from bounds_reference import reference_forms, ulps
 
@@ -180,6 +181,18 @@ class TestSweepCommand:
                                  flag, grid)
         assert (code, out) == (2, "")
         assert err == f"error: grid {grid!r} needs finite a, b and s\n"
+
+    @pytest.mark.parametrize("flag,grid", [
+        ("--eps-grid", "-1e308:1e308:1"), ("--delta-grid", "0:1:1e-300"),
+    ])
+    def test_huge_grid_is_a_clean_error(self, capsys, flag, grid):
+        """The first once ended in an OverflowError traceback; the second
+        asked for a list of 10^300 points."""
+        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--k", "2",
+                                 f"{flag}={grid}")
+        assert (code, out) == (2, "")
+        assert err == (f"error: grid {grid!r} has over {MAX_GRID_POINTS} "
+                       "points\n")
 
     def test_bad_first_row_opens_no_out_file(self, capsys, tmp_path):
         """The first row is built before --out is opened, so a bad
@@ -415,9 +428,9 @@ class TestCliGolden:
 
 
 class TestSimulateLargeMessages:
-    """The rank oracle's cost does not grow with L, so simulate prints its
-    exact value at every L, equal to the closed form, and at K=255 for
-    N=2; only shapes over its answer-call cap (N=3 K=255) are skipped."""
+    """The rank oracle's K N answer calls do not grow with L, so simulate
+    prints its exact value at every L, equal to the closed form, and at
+    K=255 for N=2 and N=3, as at every shape the wire carries."""
 
     @staticmethod
     def leakage_line(out: str) -> dict:
@@ -447,12 +460,15 @@ class TestSimulateLargeMessages:
         leak = self.leakage_line(out)
         assert leak["oracle"] == leak["analytic"] == "20"
 
-    def test_oracle_skipped_over_call_cap(self, capsys):
+    def test_oracle_exact_at_three_databases(self, capsys):
+        """765 answer calls, where multisets of the undesired values would
+        take 97,920, over the cap."""
         code, out, err = run_cli(capsys, "simulate", "--n", "3", "--k",
                                  "255", "--l", "40", "--eps", "0.5",
                                  "--delta", "0.5", "--trials", "300")
         assert code == 0, err
-        assert self.leakage_line(out)["oracle"] == "skipped"
+        leak = self.leakage_line(out)
+        assert leak["oracle"] == leak["analytic"] == "20"
 
 
 class TestConfigPrecedence:

@@ -129,7 +129,7 @@ class TestExactOracle:
             brute_mi_oracle(WORKED, WORKED_LAYOUT, message_support=[])
 
     def test_state_cap_enforced(self, monkeypatch):
-        # The worked example takes C(K+N-2, N-1) N = 2*2 = 4 answer calls.
+        # The worked example takes K N = 2*2 = 4 answer calls.
         monkeypatch.setattr(leakage, "ORACLE_CALL_CAP", 3)
         with pytest.raises(StateSpaceError):
             exact_mi_oracle(WORKED, WORKED_LAYOUT)
@@ -138,7 +138,7 @@ class TestExactOracle:
         assert res.max_bits == pytest.approx(0.8, abs=ORACLE_TOL)
 
     def test_answer_calls_do_not_depend_on_l(self):
-        # C(K+N-2, N-1) N = C(4, 1) * 2 = 8 at N=2 K=4
+        # K N = 4 * 2 = 8 at N=2 K=4
         calls = []
         for l in (16, 1 << 22):
             p = SystemParams(2, 4, l, 0.5, 0.1)
@@ -147,6 +147,16 @@ class TestExactOracle:
                 exact_mi_oracle(p, plan_partition(p))
             calls.append(spy.call_count)
         assert calls == [8] * 2
+
+    def test_answer_calls_are_k_times_n(self):
+        """One base per count of nonzero undesired coordinates, N queries
+        each: K N = 765 calls at N=3 K=255."""
+        p = SystemParams(3, 255, 40, 0.5, 0.5)
+        with mock.patch("alpir.leakage.answer",
+                        wraps=leakage.answer) as spy:
+            res = exact_mi_oracle(p, plan_partition(p))
+        assert spy.call_count == 765
+        assert res.max_bits == 20.0
 
 
 # The rank oracle against the brute-force reference, which enumerates
@@ -193,22 +203,30 @@ class TestRankMatchesBrute:
             assert_matches_brute(p, layout_for_key_bits(p, s))
 
 
+@st.composite
+def oracle_shapes(draw):
+    """N 2-5, K 2-6, 1-3 bits per subpacket, every key size, any eps."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    per_sub = draw(st.integers(1, 3))
+    key_bits = draw(st.integers(0, per_sub))
+    eps = draw(st.one_of(st.sampled_from((0.0, math.inf)),
+                         st.floats(0.0, 60.0)))
+    p = SystemParams(n, k, per_sub * (n - 1), eps, 0.0)
+    return p, layout_for_key_bits(p, key_bits)
+
+
 class TestReducedMatchesUnreduced:
-    """The reduction to one desired index and one value of its coordinate
-    changes no bit: every per-desired value of the unreduced loop equals
-    max_bits exactly."""
+    """The reduction to one desired index, one value of its coordinate and
+    one base per count of nonzero undesired coordinates changes no bit:
+    every per-desired value of the unreduced loop equals max_bits
+    exactly."""
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 5), k=st.integers(2, 6),
-           per_sub=st.integers(1, 3), key_bits=st.integers(0, 3),
-           eps=st.one_of(st.sampled_from((0.0, math.inf)),
-                         st.floats(0.0, 60.0)))
-    def test_bitwise(self, n, k, per_sub, key_bits, eps):
-        assume(key_bits <= per_sub)
-        p = SystemParams(n, k, per_sub * (n - 1), eps, 0.0)
-        lay = layout_for_key_bits(p, key_bits)
+    @given(shape=oracle_shapes())
+    def test_bitwise(self, shape):
+        p, lay = shape
         got = exact_mi_oracle(p, lay).max_bits
-        assert unreduced_mi_oracle(p, lay) == (got,) * k
+        assert unreduced_mi_oracle(p, lay) == (got,) * p.n_messages
 
 
 class TestRankMatchesClosedForm:
@@ -223,6 +241,15 @@ class TestRankMatchesClosedForm:
         analytic = analytic_db_leakage(p, lay)
         bits = exact_mi_oracle(p, lay).max_bits
         assert abs(bits - analytic) <= LEAK_TOL_BITS
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=oracle_shapes())
+    def test_bitwise_on_drawn_shapes(self, shape):
+        """Each high-cost base leaks the open width w, so the mean over
+        them is w exactly, and the oracle is the closed form's float."""
+        p, lay = shape
+        assert exact_mi_oracle(p, lay).max_bits == analytic_db_leakage(
+            p, lay)
 
 
 class TestQueryAudit:

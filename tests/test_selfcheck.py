@@ -39,10 +39,10 @@ def test_exhaustive_check_catches_one_wrong_answer(monkeypatch):
 
 
 def test_point_check_names_the_call_cap():
-    """At N=3 K=255 the rank oracle would need 97,920 answer calls, over
-    its cap; the point check says so and still checks the budget."""
+    """At N=2 K=40000 the rank oracle would need 80,000 answer calls,
+    over its cap; the point check says so and still checks the budget."""
     name, ok, detail = selfcheck.check_point(
-        SystemParams(3, 255, 40, 0.5, 0.5))
+        SystemParams(2, 40000, 2, 0.5, 0.5))
     assert (name, ok) == ("point-leakage", True)
-    assert detail == ("analytic=20 budget=20 (oracle skipped: over "
+    assert detail == ("analytic=1 budget=1 (oracle skipped: over "
                       "ORACLE_CALL_CAP = 65536 answer calls)")
