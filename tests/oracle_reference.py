@@ -11,8 +11,7 @@ desired index, so it only serves tiny shapes, where it checks
 desired index, one value of its coordinate and one base per count of
 nonzero undesired coordinates: it visits every desired index, every
 value of the desired coordinate and every multiset of the undesired
-values, at
-C(K+N-2, N-1) N^2 K `answer` calls against the oracle's K N.
+values, at C(K+N-2, N-1) N^2 K `answer` calls against the oracle's K N.
 """
 
 import itertools
