@@ -14,8 +14,10 @@ alpha1 (resp. alpha2) L bits that the user never sees.
 
 All functions take a SystemParams, are finite for every finite eps and
 take exact limits at eps = math.inf. Every closed form is written once,
-in the one evaluator `_forms`: the single-value functions read their
-value from it, and `bounds_report` calls it once per point.
+in the one evaluator `bounds_rows`: it evaluates the terms that depend on
+eps alone once per (N, K, eps), then gives one row per delta. The
+single-value functions, `classify_regime` and `bounds_report` read one
+row of it, and `alpir sweep` one call per (N, K, eps).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .params import SystemParams
 
@@ -50,42 +52,50 @@ def scaled_terms(eps: float, big: int) -> tuple[int, float, float]:
     return s, e, math.ldexp(1.0, -s)
 
 
-def _require_multi_db(params: SystemParams) -> None:
+def bounds_rows(params: SystemParams,
+                deltas: Optional[Sequence[float]] = None) -> Iterator[tuple]:
+    """The BOUNDS_FIELDS row at params' N, K and eps for each delta in
+    deltas (default: params.delta alone), in order.
+
+    The one place the closed forms are written. Both bounds are affine in
+    delta once (N, K, eps) is fixed, so every term that depends on eps
+    alone is evaluated once per call: e^eps, N^(K-1) and 1 scaled by 2^-s,
+    F = N e^eps and 1 by 2^-u, F^(K-1) and 1 by 2^-t (from F^K), so each
+    form keeps its bits wherever its unscaled terms fit in a double. Past
+    that, F^(K-1) is estimated, next to terms 2^1024 times larger. Each
+    delta then costs a few products. delta = 0 is below both thresholds,
+    positive for finite eps. delta is compared with a delta1 below the
+    normal doubles exactly. A delta that SystemParams refuses raises its
+    ValueError before the first row.
+    """
     if params.n_databases < 2:
-        raise ValueError(
-            "bounds need n_databases >= 2; the single-database setting is "
-            "degenerate, see single_server_cost"
-        )
-
-
-def _forms(params: SystemParams) -> tuple:
-    """(delta1, alpha1, d_upper, delta2, alpha2, d_lower) at one point.
-
-    Each closed form is written and evaluated once, on e^eps, N^(K-1) and 1
-    scaled by 2^-s, F = N e^eps and 1 by 2^-u, F^(K-1) and 1 by 2^-t (from
-    F^K), so it keeps its bits wherever its unscaled terms fit in a double.
-    Past that, F^(K-1) is estimated, next to terms 2^1024 times larger.
-    delta = 0 is below both thresholds, positive for finite eps. delta is
-    compared with a delta1 below the normal doubles exactly."""
-    _require_multi_db(params)
-    n, k, delta = params.n_databases, params.n_messages, params.delta
-    if math.isinf(params.eps):
-        return (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+        raise ValueError("bounds need n_databases >= 2; the single-database "
+                         "setting is degenerate, see single_server_cost")
+    if deltas is None:
+        deltas = (params.delta,)
+    elif not all(0.0 <= d < math.inf for d in deltas):
+        raise ValueError("delta must be finite and >= 0")
+    n, k, eps = params.n_databases, params.n_messages, params.eps
+    cap = (n - math.exp(-eps)) / (n - 1)
+    if math.isinf(eps):
+        for delta in deltas:
+            yield (n, k, eps, delta, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, cap,
+                   "L-PIR" if delta else "NoPrivacy", 1.0)
+        return
     big = n ** (k - 1)
-    s, e, one = scaled_terms(params.eps, big)
+    s, e, one = scaled_terms(eps, big)
     m1, m = (big - 1) / (1 << s), big / (1 << s)
-    d1 = m1 / ((n - 1) * (e + m - one))
-    flat = 0 < delta >= d1
-    if 0 < delta and d1 < 2.0 ** -1022:
-        # A subnormal d1 has too few bits to be compared with delta: decide
-        # delta >= (M-1) / ((N-1)(e 2^s + M - 1)) exactly, in integers.
-        (a, b), (c, d) = delta.as_integer_ratio(), e.as_integer_ratio()
-        flat = a * (n - 1) * ((c << s) + (big - 1) * d) >= (big - 1) * b * d
-    upper = (d1, 0.0, 1.0 + d1) if flat else (
-        d1, max(0.0, 1.0 / (n - 1) - delta * (e + m - one) / m1),
-        1.0 + 1.0 / (n - 1) - delta * e / m1)
-    u, e, ou = scaled_terms(params.eps, 1)
-    f = n * e
+    w = e + m - one
+    d1 = m1 / ((n - 1) * w)
+    inv = 1.0 / (n - 1)
+    # A subnormal d1 has too few bits to be compared with delta: decide
+    # delta >= (M-1) / ((N-1)(e 2^s + M - 1)) exactly, in integers.
+    exact = d1 < 2.0 ** -1022
+    if exact:
+        c, d = e.as_integer_ratio()
+        lhs, rhs = (n - 1) * ((c << s) + (big - 1) * d), (big - 1) * d
+    u, eu, ou = scaled_terms(eps, 1)
+    f = n * eu
     lf = math.log2(f)
     g = (k - 1) * (lf + u)
     t = max(0, math.ceil(g + lf) - 1000)
@@ -94,10 +104,35 @@ def _forms(params: SystemParams) -> tuple:
     except OverflowError:
         fk = 2.0 ** (g - t)
     ot = math.ldexp(1.0, -t)
-    d2 = (fk - ot) * ou / ((f - ou) * fk)
-    return upper + ((d2, 0.0, 1.0 + d2) if 0 < delta >= d2 else (
-        d2, max(0.0, ou / (f - ou) - delta * fk / (fk - ot)),
-        1.0 + ou / (f - ou) - delta * ot / (fk - ot)))
+    fd = fk - ot
+    d2 = fd * ou / ((f - ou) * fk)
+    r = ou / (f - ou)
+    for delta in deltas:
+        flat = past = 0 < delta >= d1
+        if exact and delta > 0:
+            a, b = delta.as_integer_ratio()
+            flat = a * lhs >= rhs * b
+        upper, a1 = (1.0 + d1, 0.0) if flat else (
+            1.0 + inv - delta * e / m1, max(0.0, inv - delta * w / m1))
+        lower, a2 = (1.0 + d2, 0.0) if 0 < delta >= d2 else (
+            1.0 + r - delta * ot / fd, max(0.0, r - delta * fk / fd))
+        # The Regime values; see classify_regime.
+        if eps:
+            regime, cost = ("L-PIR", upper) if past else ("General", None)
+        elif not delta:
+            regime, cost = "SPIR", upper
+        elif math.isclose(delta, d1, rel_tol=REL_TOL):
+            regime, cost = "PIR", sum(n ** -j for j in range(k))
+        else:
+            regime, cost = ("LeakyDB", upper) if delta < d1 else (
+                "General", None)
+        yield (n, k, eps, delta, upper, lower, a1, a2, d1, d2, upper / lower,
+               cap, regime, cost)
+
+
+def _forms(params: SystemParams) -> tuple:
+    """The BOUNDS_FIELDS row at params: bounds_rows at params.delta."""
+    return next(bounds_rows(params))
 
 
 def delta1_threshold(params: SystemParams) -> float:
@@ -106,7 +141,7 @@ def delta1_threshold(params: SystemParams) -> float:
     Equals (N^(K-1) - 1) / ((N-1) (e^eps + N^(K-1) - 1)); decreasing in
     eps, 0 in the eps -> infinity limit.
     """
-    return _forms(params)[0]
+    return _forms(params)[8]
 
 
 def delta2_threshold(params: SystemParams) -> float:
@@ -115,7 +150,7 @@ def delta2_threshold(params: SystemParams) -> float:
     Equals (F^(K-1) - 1) / ((F - 1) F^(K-1)) with F = N e^eps; never
     exceeds delta1_threshold.
     """
-    return _forms(params)[3]
+    return _forms(params)[9]
 
 
 def alpha1_rate(params: SystemParams) -> float:
@@ -125,12 +160,12 @@ def alpha1_rate(params: SystemParams) -> float:
     exactly zero for delta >= delta1_threshold, and zero for all delta in
     the eps -> infinity limit.
     """
-    return _forms(params)[1]
+    return _forms(params)[6]
 
 
 def alpha2_rate(params: SystemParams) -> float:
     """Converse lower bound on the shared-key rate; <= alpha1_rate."""
-    return _forms(params)[4]
+    return _forms(params)[7]
 
 
 def d_upper(params: SystemParams) -> float:
@@ -139,7 +174,7 @@ def d_upper(params: SystemParams) -> float:
     1 + 1/(N-1) - delta e^eps/(N^(K-1) - 1) for delta below
     delta1_threshold; flat at 1 + delta1_threshold beyond it.
     """
-    return _forms(params)[2]
+    return _forms(params)[4]
 
 
 def d_lower(params: SystemParams) -> float:
@@ -157,13 +192,7 @@ def gap_ratio(params: SystemParams) -> tuple[float, float]:
     The ratio never exceeds the cap and equals 1 at eps = 0, where the
     two bounds coincide for every delta.
     """
-    _, _, upper, _, _, lower = _forms(params)
-    return upper / lower, _gap_cap(params)
-
-
-def _gap_cap(params: SystemParams) -> float:
-    n = params.n_databases
-    return (n - math.exp(-params.eps)) / (n - 1)
+    return _forms(params)[10:12]
 
 
 @dataclass(frozen=True)
@@ -213,28 +242,8 @@ def classify_regime(params: SystemParams) -> RegimeInfo:
     agree); delta at or past the threshold with eps > 0 is user-side-only
     leakage (L-PIR); unbounded eps with delta = 0 needs no protocol at all.
     """
-    d1, _, cost = _forms(params)[:3]
-    return _regime(params, d1, cost)
-
-
-def _regime(params: SystemParams, d1: float, cost: float) -> RegimeInfo:
-    """classify_regime given delta1 and d_upper, the cost it names off PIR."""
-    n, k = params.n_databases, params.n_messages
-    if math.isinf(params.eps):
-        if params.delta == 0.0:
-            return RegimeInfo(Regime.NO_PRIVACY, 1.0)
-        return RegimeInfo(Regime.L_PIR, 1.0)
-    if params.eps == 0.0 and params.delta == 0.0:
-        return RegimeInfo(Regime.SPIR, cost)
-    if params.eps == 0.0:
-        if math.isclose(params.delta, d1, rel_tol=REL_TOL):
-            return RegimeInfo(Regime.PIR, sum(n ** -j for j in range(k)))
-        if params.delta < d1:
-            return RegimeInfo(Regime.LEAKY_DB, cost)
-        return RegimeInfo(Regime.GENERAL, None)
-    if 0 < params.delta >= d1:
-        return RegimeInfo(Regime.L_PIR, cost)
-    return RegimeInfo(Regime.GENERAL, None)
+    row = _forms(params)
+    return RegimeInfo(Regime(row[12]), row[13])
 
 
 # The columns of a BoundsReport row, as bounds and sweep print them.
@@ -272,18 +281,5 @@ class BoundsReport:
 
 
 def bounds_report(params: SystemParams) -> BoundsReport:
-    d1, a1, upper, d2, a2, lower = _forms(params)
-    info = _regime(params, d1, upper)
-    return BoundsReport(
-        params=params,
-        d_upper=upper,
-        d_lower=lower,
-        alpha1=a1,
-        alpha2=a2,
-        delta1=d1,
-        delta2=d2,
-        gap_ratio=upper / lower,
-        gap_cap=_gap_cap(params),
-        regime=info.regime,
-        reference_cost=info.reference_cost,
-    )
+    row = _forms(params)
+    return BoundsReport(params, *row[4:12], Regime(row[12]), row[13])

@@ -173,20 +173,25 @@ def _grid_values(cfg: dict, name: str) -> list[float]:
 
 
 def _bounds_rows(cfg: dict, n_values: list[int], k_values: list[int]):
+    """Each (N, K, eps) block's rows, from one bounds_rows call. Every
+    shape, eps and delta is checked first, raising the first bad row's
+    error: the first row's shape and eps with each delta, then each block."""
     eps_values = _grid_values(cfg, "eps")
     delta_values = _grid_values(cfg, "delta")
-    for n in n_values:
-        for k in k_values:
-            l = _given(cfg, "l", default_message_bits(n))
-            for eps in eps_values:
-                for delta in delta_values:
-                    params = SystemParams(n, k, l, eps, delta)
-                    yield bnd.bounds_report(params).row()
+    shapes = [(n, k, _given(cfg, "l", default_message_bits(n)))
+              for n in n_values for k in k_values]
+    for delta in delta_values if shapes else ():
+        SystemParams(*shapes[0], eps_values[0], delta)
+    blocks = [SystemParams(*shape, eps, delta_values[0])
+              for shape in shapes for eps in eps_values]
+    for params in blocks:
+        yield from bnd.bounds_rows(params, delta_values)
 
 
 def _emit(cfg: dict, fields: Sequence[str], rows) -> int:
-    """Stream rows after probing the first, so bad parameters fail
-    before anything lands on stdout or in --out."""
+    """Stream rows after building the first, so bad parameters, which
+    every row generator checks before its first row, fail before anything
+    lands on stdout or in --out."""
     first = next(rows, None)
     if first is not None:
         rows = chain((first,), rows)

@@ -163,14 +163,13 @@ def classify_base(base: Sequence[int], desired: int) -> PathClass:
 
 
 # Draw count from which `sample_bases` reads words in batches. A batch
-# round costs a getrandbits, a to_bytes and a translate, and where half
-# the words are rejected (n a power of two) a batch takes several rounds,
-# so few draws are faster one by one. The value was set against a loop of
-# randrange calls. Against the loop of getrandbits reads, on a 2-vCPU x86
-# host under CPython 3.11, the batch took 1.5x the loop's time at 8-16
-# draws at N = 2 and N = 128 and 0.7x at 254, so the crossover is nearer
-# 64 draws.
-_BATCH_MIN_DRAWS = 7
+# round costs a getrandbits, a to_bytes and a translate, and where words
+# are rejected a batch takes several rounds, so few draws are faster one
+# by one. Against the loop of getrandbits reads, on a 2-vCPU x86 host
+# under CPython 3.11, the batch took 1.04x the loop's time at 64 draws
+# and 0.94x at 80 at N = 2, 0.86x and 0.81x at N = 3, and 1.12x and
+# 1.02x at N = 128; 0.90-0.97x at 96 draws and below that at 128.
+_BATCH_MIN_DRAWS = 80
 
 
 @lru_cache(maxsize=256)
