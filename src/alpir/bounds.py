@@ -53,9 +53,9 @@ def scaled_terms(eps: float, big: int) -> tuple[int, float, float]:
 
 
 def bounds_rows(params: SystemParams,
-                deltas: Optional[Sequence[float]] = None) -> Iterator[tuple]:
+                deltas: Sequence[float]) -> Iterator[tuple]:
     """The BOUNDS_FIELDS row at params' N, K and eps for each delta in
-    deltas (default: params.delta alone), in order.
+    deltas, in order; params.delta is not read.
 
     The one place the closed forms are written. Both bounds are affine in
     delta once (N, K, eps) is fixed, so every term that depends on eps
@@ -71,9 +71,7 @@ def bounds_rows(params: SystemParams,
     if params.n_databases < 2:
         raise ValueError("bounds need n_databases >= 2; the single-database "
                          "setting is degenerate, see single_server_cost")
-    if deltas is None:
-        deltas = (params.delta,)
-    elif not all(0.0 <= d < math.inf for d in deltas):
+    if not all(0.0 <= d < math.inf for d in deltas):
         raise ValueError("delta must be finite and >= 0")
     n, k, eps = params.n_databases, params.n_messages, params.eps
     cap = (n - math.exp(-eps)) / (n - 1)
@@ -131,8 +129,8 @@ def bounds_rows(params: SystemParams,
 
 
 def _forms(params: SystemParams) -> tuple:
-    """The BOUNDS_FIELDS row at params: bounds_rows at params.delta."""
-    return next(bounds_rows(params))
+    """The BOUNDS_FIELDS row at params."""
+    return next(bounds_rows(params, (params.delta,)))
 
 
 def delta1_threshold(params: SystemParams) -> float:

@@ -173,17 +173,15 @@ def _grid_values(cfg: dict, name: str) -> list[float]:
 
 
 def _bounds_rows(cfg: dict, n_values: list[int], k_values: list[int]):
-    """Each (N, K, eps) block's rows, from one bounds_rows call. Every
-    shape, eps and delta is checked first, raising the first bad row's
-    error: the first row's shape and eps with each delta, then each block."""
+    """Each (N, K, eps) block's rows, from one bounds_rows call.
+    SystemParams checks every block, and bounds_rows every delta, before
+    the first row. Grid values ascend from their first, so the error
+    raised is the first bad row's."""
     eps_values = _grid_values(cfg, "eps")
     delta_values = _grid_values(cfg, "delta")
-    shapes = [(n, k, _given(cfg, "l", default_message_bits(n)))
-              for n in n_values for k in k_values]
-    for delta in delta_values if shapes else ():
-        SystemParams(*shapes[0], eps_values[0], delta)
-    blocks = [SystemParams(*shape, eps, delta_values[0])
-              for shape in shapes for eps in eps_values]
+    blocks = [SystemParams(n, k, _given(cfg, "l", default_message_bits(n)),
+                           eps, delta_values[0])
+              for n in n_values for k in k_values for eps in eps_values]
     for params in blocks:
         yield from bnd.bounds_rows(params, delta_values)
 

@@ -51,13 +51,14 @@ def default_message_bits(n: int) -> int:
     return 4 * (n - 1) if n > 1 else 4
 
 
-def _grid_params():
+def _grid_blocks():
+    """(params, rows): params at each (N, K, eps) of the grid, and the
+    bounds rows of every grid delta there, from one bounds_rows call."""
     for n in GRID_N:
         for k in GRID_K:
             for eps in GRID_EPS:
-                for delta in GRID_DELTA:
-                    yield SystemParams(n, k, default_message_bits(n), eps,
-                                       delta)
+                params = SystemParams(n, k, default_message_bits(n), eps, 0.0)
+                yield params, list(bnd.bounds_rows(params, GRID_DELTA))
 
 
 def check_exhaustive_correctness() -> tuple[str, bool, str]:
@@ -183,17 +184,17 @@ def check_leakage_budget(key_bits_offset: int = 0) -> tuple[str, bool, str]:
 def check_gap_cap() -> tuple[str, bool, str]:
     """d_upper/d_lower stays under (N - e^-eps)/(N - 1), equality at eps=0."""
     points = 0
-    for params in _grid_params():
-        ratio, cap = bnd.gap_ratio(params)
-        points += 1
-        if ratio > cap + TOL_FLOAT or ratio < 1.0 - TOL_EXACT:
-            return ("gap-cap-grid", False,
-                    f"ratio {ratio} outside [1, cap={cap}] at "
-                    f"{params.n_databases},{params.n_messages},"
-                    f"{params.eps},{params.delta}")
-        if params.eps == 0.0 and abs(ratio - 1.0) > TOL_EXACT:
-            return ("gap-cap-grid", False,
-                    f"bounds differ at eps=0: ratio={ratio}")
+    for _, rows in _grid_blocks():
+        for row in rows:
+            (n, k, eps, delta), (ratio, cap) = row[:4], row[10:12]
+            points += 1
+            if ratio > cap + TOL_FLOAT or ratio < 1.0 - TOL_EXACT:
+                return ("gap-cap-grid", False,
+                        f"ratio {ratio} outside [1, cap={cap}] at "
+                        f"{n},{k},{eps},{delta}")
+            if eps == 0.0 and abs(ratio - 1.0) > TOL_EXACT:
+                return ("gap-cap-grid", False,
+                        f"bounds differ at eps=0: ratio={ratio}")
     return ("gap-cap-grid", True, f"{points} grid points inside the cap")
 
 
@@ -201,30 +202,24 @@ def check_threshold_ordering() -> tuple[str, bool, str]:
     """delta1 >= delta2, alpha1 >= alpha2, and both cost curves are
     continuous across their thresholds.
 
-    The thresholds do not depend on delta, so continuity is checked at
-    the first delta of each (N, K, eps).
+    The thresholds do not depend on delta, so continuity is checked once
+    per (N, K, eps), at the first delta's thresholds.
     """
-    points, shapes = 0, set()
-    for params in _grid_params():
-        points += 1
-        report = bnd.bounds_report(params)
-        d1, d2 = report.delta1, report.delta2
-        if d1 < d2 - TOL_EXACT:
-            return ("threshold-ordering", False,
-                    f"delta1 < delta2 at {params}")
-        if report.alpha1 < report.alpha2 - TOL_EXACT:
-            return ("threshold-ordering", False,
-                    f"alpha1 < alpha2 at {params}")
-        shape = (params.n_databases, params.n_messages, params.eps)
-        if shape in shapes:
-            continue
-        shapes.add(shape)
-        for thr, fn in ((d1, bnd.d_upper), (d2, bnd.d_lower)):
+    points = 0
+    for params, rows in _grid_blocks():
+        for row in rows:
+            points += 1
+            a1, a2, d1, d2 = row[6:10]
+            bad = ("delta1 < delta2" if d1 < d2 - TOL_EXACT else
+                   "alpha1 < alpha2" if a1 < a2 - TOL_EXACT else None)
+            if bad:
+                point = dataclasses.replace(params, delta=row[3])
+                return ("threshold-ordering", False, f"{bad} at {point}")
+        for col, thr in ((4, rows[0][8]), (5, rows[0][9])):
             if thr <= 0.0:
                 continue
-            below = fn(dataclasses.replace(
-                params, delta=math.nextafter(thr, 0.0)))
-            at = fn(dataclasses.replace(params, delta=thr))
+            below, at = (row[col] for row in bnd.bounds_rows(
+                params, (math.nextafter(thr, 0.0), thr)))
             if abs(below - at) > TOL_EXACT:
                 return ("threshold-ordering", False,
                         f"cost jump {abs(below - at):.3g} across threshold "
