@@ -16,6 +16,7 @@ from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
                    bounds_report, classify_regime, d_lower, d_upper,
                    delta1_threshold, delta2_threshold, gap_ratio,
                    path_distribution, plan_partition, single_server_cost)
+from alpir.bounds import bounds_rows
 from alpir.params import MAX_DATABASES
 from bounds_reference import CTX, reference_forms, ulps
 
@@ -335,6 +336,48 @@ class TestValidationAndReport:
 SINGLE_VALUE = {"d_upper": d_upper, "d_lower": d_lower,
                 "alpha1": alpha1_rate, "alpha2": alpha2_rate,
                 "delta1": delta1_threshold, "delta2": delta2_threshold}
+
+
+class TestBlockRows:
+    """bounds_rows evaluates the eps-only terms once per (N, K, eps) and
+    loops over delta; each row it gives must be the row bounds_report
+    gives at that one point, field by field and type by type. The draws
+    reach eps = inf, the scaled branch of scaled_terms (eps > 700),
+    eps = 49.9 and 50, a subnormal delta1 compared in integers (N=2
+    K=1100, eps 1480 to 1506), and delta at each threshold."""
+
+    @given(shape=st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 40)),
+                           st.just((2, 1100))),
+           eps_values=st.lists(st.one_of(
+               st.sampled_from([0.0, 49.9, 50.0, 1480.0, math.inf]),
+               st.floats(700.0, 1506.0), st.floats(0.0, 60.0)),
+               min_size=1, max_size=4),
+           deltas=st.lists(st.floats(0.0, 2.0), max_size=5))
+    @example(shape=(2, 1100), eps_values=[1480.0, 1506.0], deltas=[0.0])
+    @example(shape=(7, 40), eps_values=[49.9, 50.0, math.inf], deltas=[0.5])
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_single_points(self, shape, eps_values, deltas):
+        n, k = shape
+        for eps in eps_values:
+            p0 = params(n, k, eps, 0.0)
+            deltas = [*deltas, delta1_threshold(p0), delta2_threshold(p0)]
+        for eps in eps_values:
+            rows = list(bounds_rows(params(n, k, eps, 0.0), deltas))
+            assert len(rows) == len(deltas)
+            for delta, row in zip(deltas, rows):
+                want = bounds_report(params(n, k, eps, delta)).row()
+                assert list(map(repr, row)) == list(map(repr, want)), (
+                    eps, delta)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_delta_raises_before_the_first_row(self, bad):
+        rows = bounds_rows(WORKED, [0.1, bad])
+        with pytest.raises(ValueError, match="delta must be finite"):
+            next(rows)
+
+    def test_rejects_single_database(self):
+        with pytest.raises(ValueError, match="n_databases >= 2"):
+            next(bounds_rows(SystemParams(1, 2, 4, 0.0, 0.0), [0.0]))
 
 
 def near_threshold(n, k, eps, threshold, step):

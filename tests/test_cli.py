@@ -205,6 +205,39 @@ class TestSweepCommand:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("args, error", [
+        (("--n", "2,3", "--k", "2", "--l", "5", "--eps-grid", "0:0.1:0.05",
+          "--delta", "0"), "message_bits must be divisible by n_databases"),
+        (("--n", "2", "--k", "2,1", "--eps", "0", "--delta", "0"),
+         "n_messages must be an integer >= 2"),
+    ], ids=["l-not-divisible", "k-below-two"])
+    def test_bad_later_shape_writes_nothing(self, capsys, tmp_path, args,
+                                            error):
+        """Every shape is checked before the first row: these wrote the
+        rows of the good first shape, then exited 2."""
+        for out_path in (None, tmp_path / "rows.csv"):
+            extra = ("--out", str(out_path)) if out_path else ()
+            code, out, err = run_cli(capsys, "sweep", *args, *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {error}")
+        assert not out_path.exists()
+
+    def test_first_bad_row_names_the_error(self, capsys):
+        """With several bad values, the error is the first bad row's."""
+        cases = [
+            (("--n", "2,3", "--eps-grid=-1:1:1", "--delta", "0"),
+             "eps must be >= 0"),
+            (("--n", "2,3", "--eps", "0", "--delta-grid=-1:0:1"),
+             "delta must be finite and >= 0"),
+            (("--n", "3,2", "--eps", "-1", "--delta", "-1"),
+             "message_bits must be divisible by n_databases - 1 "
+             "(subpacketization requirement)"),
+        ]
+        for args, error in cases:
+            code, out, err = run_cli(capsys, "sweep", "--k", "2", "--l", "5",
+                                     *args)
+            assert (code, out, err) == (2, "", f"error: {error}\n")
+
 class TestSimulateCommand:
     EPS = str(math.log(1.5))
 
@@ -425,6 +458,18 @@ class TestCliGolden:
         assert code == 0 and out == ""
         assert self.digest(out_path.read_bytes()) == (
             "bce35dfa6bc89dd91704fc75cbef2c09cdddba30424aa678787e7c4de3df74f0")
+
+    def test_audit_sweep_json_lines(self, capsys, tmp_path):
+        """The same grid as json-lines, so float text is pinned in both
+        formats."""
+        out_path = tmp_path / "sweep.jsonl"
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2,3,5", "--k",
+                               "2,3,4", "--eps-grid", "0:5:0.05",
+                               "--delta-grid", "0:1:0.02", "--format",
+                               "json-lines", "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert self.digest(out_path.read_bytes()) == (
+            "13f606a4cbbbdb432b1419e7f0e2cbff1ca4c3c71da929fee9fdefec4f32a246")
 
 
 class TestSimulateLargeMessages:

@@ -311,10 +311,13 @@ class TestQueryAuditGolden:
     """sha256 of repr(list(counts.items())), with the max ratio and its
     half-width, recorded before the audit counted bases in place of query
     vectors. The digest covers the counts' insertion order, which breaks
-    ties in ratio_audit_from_counts. The K=8 and K=16 rows draw through
-    `_draw_below`'s batched word reads (K-1 >= 7), at N=3 and at N=2;
-    N=2 K=255 is not pinned, since its 510,000 distinct vectors take
-    about 1.3 GB at the 1000-trial minimum."""
+    ties in ratio_audit_from_counts. The two K=96 rows draw through
+    `_draw_below`'s batched word reads (K-1 >= 80), at N=3 and at N=2;
+    their eps leaves about 1 path in 15 high-cost, so few vectors are
+    distinct. They were recorded with the batch from K-1 >= 7 and equal
+    the loop of single-word reads. N=2 K=255 is not pinned, since its
+    510,000 distinct vectors take about 1.3 GB at the 1000-trial
+    minimum."""
 
     @pytest.mark.parametrize("trials, point, max_ratio, halfwidth, sha", [
         (100_000, (2, 2, 3, math.log(1.5), 4 / 15), 1.5012989608313347,
@@ -326,12 +329,18 @@ class TestQueryAuditGolden:
          "b2452d3ac492f0c32872239e877684629ea084d12d59ce08ac31435bec2cee34"),
         (1000, (2, 16, 4, 0.5, 0.5), 2.0, 7.343568614781236,
          "0fc9a0e645ba41cc64b4ebe087b9f21c5f16555d9d9eaef4efb6c36010f6bfa7"),
+        (1000, (3, 96, 6, 107.0, 0.5), 1.271698113207547,
+         0.26268646268293727,
+         "a55a0c90513d305014bcb7aced9377ba1083ffb6c078fccbf0fad3d66b7f8482"),
+        (1000, (2, 96, 4, 68.5, 0.5), 1.20763723150358, 0.17610926531526208,
+         "1b42e0d6d0cfb952401d2eaebf48f81b2aef669fb1d896c5b49d08a7c6e5c635"),
         (10_000, (5, 4, 4, math.inf, 0.0), 1.0860103626943005,
          0.09187612729220031,
          "7904cb4026e6921501d21235844d82ffd3e32709a39ea0196226db996f354423"),
         (1000, (2, 2, 2, 0.0, 0.0), 1.1101694915254239, 0.25914014270895447,
          "35ba29c2c80570ea4f627be34e3f451f864c7161ca1acfd96c9b9f26f42dc3c4"),
-    ], ids=["worked", "n3-k3", "n3-k8", "n2-k16", "eps-inf", "eps-zero"])
+    ], ids=["worked", "n3-k3", "n3-k8", "n2-k16", "n3-k96", "n2-k96",
+            "eps-inf", "eps-zero"])
     def test_digest(self, trials, point, max_ratio, halfwidth, sha):
         res = empirical_query_audit(trials, SystemParams(*point), seed=1)
         digest = hashlib.sha256(

@@ -46,3 +46,50 @@ def test_point_check_names_the_call_cap():
     assert (name, ok) == ("point-leakage", True)
     assert detail == ("analytic=1 budget=1 (oracle skipped: over "
                       "ORACLE_CALL_CAP = 65536 answer calls)")
+
+
+def broken_rows(monkeypatch, edit):
+    """Make selfcheck's bounds_rows give rows changed by edit(row)."""
+    real = selfcheck.bnd.bounds_rows
+
+    def rows(params, deltas):
+        return [edit(list(row)) for row in real(params, deltas)]
+
+    monkeypatch.setattr(selfcheck.bnd, "bounds_rows", rows)
+
+
+def test_gap_check_names_the_first_point_past_the_cap(monkeypatch):
+    def past_cap(row):
+        row[10] = row[11] + 1.0
+        return row
+
+    broken_rows(monkeypatch, past_cap)
+    assert selfcheck.check_gap_cap() == (
+        "gap-cap-grid", False, "ratio 2.0 outside [1, cap=1.0] at 2,2,0.0,0.0")
+
+
+def test_ordering_check_names_the_point(monkeypatch):
+    def swapped(row):
+        if row[3] == 0.1:
+            row[6], row[7] = row[7], row[6] + 1.0
+        return row
+
+    broken_rows(monkeypatch, swapped)
+    assert selfcheck.check_threshold_ordering() == (
+        "threshold-ordering", False,
+        "alpha1 < alpha2 at SystemParams(n_databases=2, n_messages=2, "
+        "message_bits=4, eps=0.0, delta=0.1)")
+
+
+def test_continuity_check_catches_a_jump(monkeypatch):
+    def jump(row):
+        if row[3] == row[8] > 0:  # d_upper at delta1
+            row[4] += 0.5
+        return row
+
+    broken_rows(monkeypatch, jump)
+    name, ok, detail = selfcheck.check_threshold_ordering()
+    assert (name, ok) == ("threshold-ordering", False)
+    assert detail == ("cost jump 0.5 across threshold at SystemParams("
+                      "n_databases=2, n_messages=2, message_bits=4, eps=0.0, "
+                      "delta=0.0)")
