@@ -71,8 +71,9 @@ def bounds_rows(params: SystemParams,
     if params.n_databases < 2:
         raise ValueError("bounds need n_databases >= 2; the single-database "
                          "setting is degenerate, see single_server_cost")
-    if not all(0.0 <= d < math.inf for d in deltas):
-        raise ValueError("delta must be finite and >= 0")
+    for delta in deltas:
+        if not 0.0 <= delta < math.inf:
+            raise ValueError("delta must be finite and >= 0")
     n, k, eps = params.n_databases, params.n_messages, params.eps
     cap = (n - math.exp(-eps)) / (n - 1)
     if math.isinf(eps):
