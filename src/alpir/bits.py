@@ -30,8 +30,6 @@ from typing import Iterable
 # used: a function call would cost about a tenth of a narrow XOR.
 _PACKED_MIN_BYTES = 1024
 
-_set = object.__setattr__
-
 
 def _new_packed(nbytes: int) -> tuple:
     """A zeroed bytearray for a result, and a uint8 array over it.
@@ -58,9 +56,9 @@ class BitString:
             raise ValueError("nbits must be >= 0")
         if value < 0 or value >> nbits:
             raise ValueError("value out of range for nbits")
-        _set(self, "nbits", nbits)
-        _set(self, "value", value)
-        _set(self, "_packed", None)
+        _set_nbits(self, nbits)
+        _set_value(self, value)
+        _set_packed(self, None)
 
     @classmethod
     def _of_packed(cls, packed, nbits: int) -> "BitString":
@@ -68,8 +66,8 @@ class BitString:
         read-only memoryview, or a bytearray or uint8 array that nobody
         else writes."""
         self = object.__new__(_Packed)
-        _set(self, "nbits", nbits)
-        _set(self, "_packed", packed)
+        _set_nbits(self, nbits)
+        _set_packed(self, packed)
         return self
 
     def __setattr__(self, name, value):
@@ -127,7 +125,7 @@ class BitString:
                                                      "big")
             else:
                 packed = bytes(packed)
-            _set(self, "_packed", packed)
+            _set_packed(self, packed)
         return packed
 
     def _buffer(self):
@@ -261,8 +259,13 @@ class _Packed(BitString):
             return _VALUE_SLOT.__get__(self)
         except AttributeError:
             value = int.from_bytes(self._packed, "big") >> (-self.nbits % 8)
-            _VALUE_SLOT.__set__(self, value)
+            _set_value(self, value)
             return value
 
 
+# Slots are set through their descriptors, since __setattr__ refuses:
+# about 0.2 us for three, against 0.35 us through object.__setattr__.
 _VALUE_SLOT = BitString.__dict__["value"]
+_set_nbits = BitString.__dict__["nbits"].__set__
+_set_value = _VALUE_SLOT.__set__
+_set_packed = BitString.__dict__["_packed"].__set__

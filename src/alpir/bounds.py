@@ -65,7 +65,8 @@ def bounds_rows(params: SystemParams,
     that, F^(K-1) is estimated, next to terms 2^1024 times larger. Each
     delta then costs a few products. delta = 0 is below both thresholds,
     positive for finite eps. delta is compared with a delta1 below the
-    normal doubles exactly. A delta that SystemParams refuses raises its
+    normal doubles exactly, and that one comparison sets the cost, the
+    key rate and the regime. A delta that SystemParams refuses raises its
     ValueError before the first row.
     """
     if params.n_databases < 2:
@@ -106,18 +107,21 @@ def bounds_rows(params: SystemParams,
     fd = fk - ot
     d2 = fd * ou / ((f - ou) * fk)
     r = ou / (f - ou)
+    # The flat rows of a block share these objects, so that
+    # rows.write_rows writes each once.
+    upper_flat, lower_flat = 1.0 + d1, 1.0 + d2
     for delta in deltas:
-        flat = past = 0 < delta >= d1
+        flat = 0 < delta >= d1
         if exact and delta > 0:
             a, b = delta.as_integer_ratio()
             flat = a * lhs >= rhs * b
-        upper, a1 = (1.0 + d1, 0.0) if flat else (
+        upper, a1 = (upper_flat, 0.0) if flat else (
             1.0 + inv - delta * e / m1, max(0.0, inv - delta * w / m1))
-        lower, a2 = (1.0 + d2, 0.0) if 0 < delta >= d2 else (
+        lower, a2 = (lower_flat, 0.0) if 0 < delta >= d2 else (
             1.0 + r - delta * ot / fd, max(0.0, r - delta * fk / fd))
         # The Regime values; see classify_regime.
         if eps:
-            regime, cost = ("L-PIR", upper) if past else ("General", None)
+            regime, cost = ("L-PIR", upper) if flat else ("General", None)
         elif not delta:
             regime, cost = "SPIR", upper
         elif math.isclose(delta, d1, rel_tol=REL_TOL):

@@ -447,20 +447,40 @@ def _desired_zero_index(queries: Sequence[QueryVector], desired: int) -> dict:
 
 def decode(answers: Sequence[Answer], queries: Sequence[QueryVector],
            desired: int) -> BitString:
-    """Recover the desired message from the N aligned (answer, query) pairs."""
+    """Recover the desired message from the N aligned (answer, query) pairs.
+
+    With a0 the answer whose desired coordinate is 0, the message is the
+    masked parts a0 ^ a_ell for ell = 1 .. N-1, then the open parts.
+    When every part is under bits._PACKED_MIN_BYTES and the widths are
+    the ones `answer` gives (masked s everywhere, open w, or 0 on a0),
+    the XORs are taken on the parts' ints and shifted into one int, for
+    one BitString. Other answers XOR and join part by part, which raises
+    on a width mismatch.
+    """
     if len(answers) != len(queries):
         raise ValueError("answers and queries must align")
     where = _desired_zero_index(queries, desired)
-    n = len(queries)
     a0 = answers[where[0]]
-    masked_parts, open_parts = [], []
-    for ell in range(1, n):
+    rest = []
+    for ell in range(1, len(queries)):
         if ell not in where:
             raise ValueError("desired coordinate does not cover all residues")
-        a = answers[where[ell]]
-        masked_parts.append(a0.masked ^ a.masked)
-        open_parts.append(a0.open ^ a.open)
-    return BitString.join(masked_parts + open_parts)
+        rest.append(answers[where[ell]])
+    s, w = a0.masked.nbits, rest[0].open.nbits if rest else 0
+    if ((max(s, w) + 7) >> 3 < bits._PACKED_MIN_BYTES
+            and a0.open.nbits in (0, w)):
+        m0, o0 = a0.masked.value, a0.open.value
+        masked = opened = 0
+        for a in rest:
+            if a.masked.nbits != s or a.open.nbits != w:
+                break
+            masked = masked << s | m0 ^ a.masked.value
+            opened = opened << w | o0 ^ a.open.value
+        else:
+            return BitString(masked << len(rest) * w | opened,
+                             len(rest) * (s + w))
+    return BitString.join([a0.masked ^ a.masked for a in rest]
+                          + [a0.open ^ a.open for a in rest])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
                    bounds_report, classify_regime, d_lower, d_upper,
                    delta1_threshold, delta2_threshold, gap_ratio,
                    path_distribution, plan_partition, single_server_cost)
-from alpir.bounds import bounds_rows
+from alpir.bounds import RegimeInfo, bounds_rows
 from alpir.params import MAX_DATABASES
 from bounds_reference import CTX, reference_forms, ulps
 
@@ -278,6 +278,15 @@ class TestRegimes:
     def test_eps_zero_above_threshold_is_general(self):
         info = classify_regime(params(2, 2, 0.0, 0.9))
         assert info.regime is Regime.GENERAL
+
+    def test_subnormal_delta1_regime_follows_the_key(self):
+        """delta equals the rounded, subnormal delta1 here, but the exact
+        delta1 lies above it: the scheme still plans a key, so the point
+        is below the threshold and no closed-form cost applies."""
+        p = params(2, 46, 773.9823886464507, 2.5e-323, l=8)
+        assert delta1_threshold(p) == p.delta
+        assert plan_partition(p).key_bits == 1
+        assert classify_regime(p) == RegimeInfo(Regime.GENERAL, None)
 
 
 class TestValidationAndReport:

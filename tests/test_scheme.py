@@ -340,6 +340,52 @@ class TestDecode:
         ans = [answer(store, lay, q) for q in qs]
         assert decode(ans, qs, desired) == store.messages[desired]
 
+    @given(n=st.integers(2, 5), k=st.integers(2, 3),
+           widths=st.tuples(st.sampled_from([0, 1, 5]),
+                            st.sampled_from([0, 1, 7, 8192])).filter(any),
+           high=st.booleans(), reshape=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_path_equals_part_xors(self, n, k, widths, high, reshape,
+                                          data):
+        """decode equals the parts' XORs joined, the path every answer
+        took before narrow ones were decoded as one int. Key width s and
+        open width w are each 0 or not; w = 8192 bits is a wide part.
+        With `reshape`, one part of one answer gets another width, and
+        decode must raise what the part XORs raise, or agree with them."""
+        s, w = widths
+        p = SystemParams(n, k, (n - 1) * (s + w), 0.5, 0.5)
+        lay = layout_for_key_bits(p, s)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        store = MessageStore.random(p, lay, rng)
+        desired = data.draw(st.integers(0, k - 1))
+        base = [data.draw(st.integers(0, n - 1)) if high or j == desired
+                else 0 for j in range(k)]
+        if high and not any(base[:desired] + base[desired + 1:]):
+            base[(desired + 1) % k] = 1
+        cls = classify_base(base, desired)
+        assert cls is (PathClass.HIGH if high else PathClass.LOW)
+        qs = make_queries(PathChoice(tuple(base), desired, cls), p)
+        ans = [answer(store, lay, q) for q in qs]
+        if reshape:
+            d = data.draw(st.integers(0, n - 1))
+            nbits = data.draw(st.integers(0, s + w + 2))
+            part = BitString(rng.getrandbits(nbits) if nbits else 0, nbits)
+            masked, open_part = ans[d].masked, ans[d].open
+            ans[d] = (Answer(part, open_part) if data.draw(st.booleans())
+                      else Answer(masked, part))
+        at = {q.indices[desired]: a for q, a in zip(qs, ans)}
+        rest = [at[ell] for ell in range(1, n)]
+        try:
+            want = BitString.join([at[0].masked ^ a.masked for a in rest]
+                                  + [at[0].open ^ a.open for a in rest])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                decode(ans, qs, desired)
+            return
+        assert decode(ans, qs, desired) == want
+        if not reshape:
+            assert want == store.messages[desired]
+
 
 class TestResidualView:
     def _session(self, base, desired):
