@@ -6,11 +6,18 @@ privacy audits), verify (self-checking suite). Every table, and the
 session records of simulate --out, is written by rows.write_rows, to
 stdout or --out, once its first row has been built.
 
+Two tables, SETTINGS and COMMANDS, describe the interface. A
+subcommand's flags are only the settings it runs, plus --config;
+simulate alone loads alpir.netsim, and verify alone alpir.selfcheck.
+
 Configuration precedence: command-line flags, then ALPIR_* environment
 variables, then an optional key=value config file (--config), then
-built-in defaults. Grids are written a:b:s (inclusive endpoints, step s).
-eps accepts "inf". Every subcommand is deterministic given its
-configuration and seed: reruns produce byte-identical output.
+built-in defaults. The environment and the config file may set any key
+for any subcommand; every value, whatever its source, is cast and
+checked against its setting's choices. Grids are written a:b:s
+(inclusive endpoints, step s). eps accepts "inf". Every subcommand is
+deterministic given its configuration and seed: reruns produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,34 +28,43 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bounds as bnd
 from . import leakage as lk
-from . import netsim
 from .bounds import BOUNDS_FIELDS
-from .params import SystemParams
+from .params import SystemParams, default_message_bits
 from .rows import write_rows
 from .scheme import path_distribution, plan_partition
-from .selfcheck import default_message_bits, run_all
 
 ENV_PREFIX = "ALPIR_"
-FORMATS = ("csv", "json-lines")
 MAX_GRID_POINTS = 1 << 20  # the largest grid in use has 101
 
+EVERY = ("bounds", "sweep", "simulate", "verify")
+TABLES = ("bounds", "sweep")
+ROWS = ("bounds", "sweep", "simulate")
 
-_CASTERS: dict[str, Callable[[str], object]] = {
-    "n": str, "k": str, "l": int, "eps": float, "delta": float,
-    "eps_grid": str, "delta_grid": str, "trials": int, "seed": int,
-    "out": str, "format": str, "transport": str, "inject_key_deficit": int,
+# key: (type, default, choices, help, subcommands that take it as a flag)
+SETTINGS = {
+    "n": (str, "2", None, "databases (sweep: comma-separated list)", EVERY),
+    "k": (str, "2", None, "messages (sweep: comma-separated list)", EVERY),
+    "l": (int, None, None, "bits per message", EVERY),
+    "eps": (float, None, None,
+            "user-privacy budget in nats (accepts inf)", EVERY),
+    "delta": (float, None, None, "db-privacy budget, bits per bit", EVERY),
+    "eps_grid": (str, None, None, "eps grid a:b:s", TABLES),
+    "delta_grid": (str, None, None, "delta grid a:b:s", TABLES),
+    "trials": (int, 10000, None, "session count", ("simulate",)),
+    "seed": (int, 0, None, "master seed", ("simulate",)),
+    "out": (str, None, None, "write rows here instead of stdout", ROWS),
+    "format": (str, "csv", ("csv", "json-lines"), "row format", ROWS),
+    "transport": (str, "memory", ("memory", "tcp"),
+                  "byte-stream transport", ("simulate",)),
+    "inject_key_deficit": (int, 0, None, "shrink planned keys by this many "
+                           "bits (negative testing)", ("verify",)),
 }
 
-DEFAULTS = {
-    "l": None, "eps": None, "delta": None, "eps_grid": None,
-    "delta_grid": None, "trials": 10000, "seed": 0, "out": None,
-    "format": "csv", "transport": "memory", "inject_key_deficit": 0,
-    "n": "2", "k": "2",
-}
+DEFAULTS = {key: entry[1] for key, entry in SETTINGS.items()}
 
 
 def parse_grid(text: str) -> list[float]:
@@ -79,53 +95,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Leaky private information retrieval: bounds, "
                     "simulation, and privacy audits.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, lists=False):
-        nk = "comma-separated list" if lists else "value"
-        p.add_argument("--n", help=f"databases ({nk})")
-        p.add_argument("--k", help=f"messages ({nk})")
-        p.add_argument("--l", type=int, help="bits per message")
-        p.add_argument("--eps", type=float,
-                       help="user-privacy budget in nats (accepts inf)")
-        p.add_argument("--delta",
-                       type=float, help="db-privacy budget, bits per bit")
-        p.add_argument("--eps-grid", help="eps grid a:b:s")
-        p.add_argument("--delta-grid", help="delta grid a:b:s")
-        p.add_argument("--trials", type=int, help="session count")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help="write rows here instead of stdout")
-        p.add_argument("--format", choices=FORMATS, help="row format")
+    for name, (_, summary) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key, (cast, default, choices, text, takers) in SETTINGS.items():
+            if name in takers:
+                if default is not None:
+                    text += f" (default {default})"
+                p.add_argument("--" + key.replace("_", "-"), type=cast,
+                               choices=choices, help=text)
         p.add_argument("--config", help="key=value config file")
-
-    p_bounds = sub.add_parser(
-        "bounds", help="closed-form bound table for one (n, k)")
-    common(p_bounds)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="bound table over lists of n and k")
-    common(p_sweep, lists=True)
-
-    p_sim = sub.add_parser(
-        "simulate", help="run wire-level sessions and audit them")
-    common(p_sim)
-    p_sim.add_argument("--transport", choices=["memory", "tcp"],
-                       help="byte-stream transport (default memory)")
-
-    p_ver = sub.add_parser("verify", help="run the self-check suite")
-    common(p_ver)
-    p_ver.add_argument("--inject-key-deficit", type=int,
-                       help="shrink planned keys by this many bits "
-                            "(negative testing; default 0)")
-
     return parser
 
 
 def resolve_config(ns: argparse.Namespace) -> dict:
-    """Merge defaults, config file, environment, and explicit flags."""
+    """Merge defaults, config file, environment, and explicit flags. Every
+    value, whatever its source, is cast and checked by its SETTINGS entry."""
     cfg = dict(DEFAULTS)
-    path = getattr(ns, "config", None)
-    if path:
-        with open(path) as fh:
+    if ns.config:
+        with open(ns.config) as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -134,20 +121,19 @@ def resolve_config(ns: argparse.Namespace) -> dict:
                     raise ValueError(f"bad config line: {line!r}")
                 key, value = (x.strip() for x in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in cfg:
+                if key not in SETTINGS:
                     raise ValueError(f"unknown config key: {key}")
-                cfg[key] = _CASTERS.get(key, str)(value)
-    for key in cfg:
+                cfg[key] = SETTINGS[key][0](value)
+    for key, (cast, *_) in SETTINGS.items():
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            cfg[key] = _CASTERS.get(key, str)(env)
-    for key, value in vars(ns).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key] = value
-    if cfg["format"] not in FORMATS:
-        raise ValueError(f"unknown format {cfg['format']!r}; "
-                         f"choose from {', '.join(FORMATS)}")
+            cfg[key] = cast(env)
+    cfg.update((key, value) for key, value in vars(ns).items()
+               if key in SETTINGS and value is not None)
+    for key, (_, _, choices, _, _) in SETTINGS.items():
+        if choices and cfg[key] not in choices:
+            raise ValueError(f"unknown {key} {cfg[key]!r}; "
+                             f"choose from {', '.join(choices)}")
     return cfg
 
 
@@ -232,6 +218,7 @@ def _point(cfg: dict, n: int, k: int) -> SystemParams:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    from . import netsim  # sockets and threads: simulate alone loads them
     n, k = _single_int(cfg, "n"), _single_int(cfg, "k")
     params = _point(cfg, n, k)
     trials, seed = cfg["trials"], cfg["seed"]
@@ -285,6 +272,7 @@ def cmd_verify(cfg: dict) -> int:
         print(f"PASS single-server: k={k} delta={delta:g} "
               f"feasible={outcome.feasible} cost={outcome.cost:g}")
         return 0
+    from .selfcheck import run_all
     point = None
     if any(cfg[key] is not None for key in ("l", "eps", "delta")):
         point = _point(cfg, n, k)
@@ -297,11 +285,11 @@ def cmd_verify(cfg: dict) -> int:
     return 0 if failed == 0 else 1
 
 
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
+COMMANDS = {
+    "bounds": (cmd_bounds, "closed-form bound table for one (n, k)"),
+    "sweep": (cmd_sweep, "bound table over lists of n and k"),
+    "simulate": (cmd_simulate, "run wire-level sessions and audit them"),
+    "verify": (cmd_verify, "run the self-check suite"),
 }
 
 
@@ -310,7 +298,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         cfg = resolve_config(ns)
-        return _COMMANDS[ns.command](cfg)
+        return COMMANDS[ns.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,3 +59,8 @@ class SystemParams:
     def subpacket_total_bits(self) -> int:
         """L / (N - 1), the bits one subpacket slot spans across both parts."""
         return self.message_bits // self.subpacket_count()
+
+
+def default_message_bits(n: int) -> int:
+    """L when none is given: four bits per subpacket, 4 for one server."""
+    return 4 * (n - 1) if n > 1 else 4

@@ -15,9 +15,9 @@ from typing import Optional
 
 from . import bounds as bnd
 from .bits import BitString
-from .leakage import (ORACLE_CALL_CAP, analytic_db_leakage, db_leak_audit,
-                      db_leak_budget_bits, exact_mi_oracle, message_space)
-from .params import SystemParams
+from .leakage import (LEAK_TOL_BITS, ORACLE_CALL_CAP, analytic_user_ratio,
+                      db_leak_audit, message_space)
+from .params import SystemParams, default_message_bits
 from .scheme import (MessageStore, PathChoice, answer, classify_base,
                      decode, layout_for_key_bits, make_queries,
                      path_distribution, plan_partition)
@@ -44,11 +44,6 @@ ORACLE_INSTANCES = (
     (2, 2, 4, 1.0, 0.2),
     (3, 2, 4, 0.5, 0.3),
 )
-
-
-def default_message_bits(n: int) -> int:
-    """L when none is given: four bits per subpacket, 4 for one server."""
-    return 4 * (n - 1) if n > 1 else 4
 
 
 def _grid_blocks():
@@ -127,55 +122,53 @@ def check_structure_law() -> tuple[str, bool, str]:
         if eps == 0.0:
             continue
         for n, k in ((2, 2), (3, 2), (2, 3), (5, 4)):
-            dist = path_distribution(
-                SystemParams(n, k, default_message_bits(n), eps, 0.0))
-            if abs(dist.p / dist.q - math.exp(eps)) > TOL_EXACT * math.exp(eps):
+            ratio = analytic_user_ratio(path_distribution(
+                SystemParams(n, k, default_message_bits(n), eps, 0.0)))
+            if abs(ratio - math.exp(eps)) > TOL_EXACT * math.exp(eps):
                 return ("structure-law", False,
                         f"p/q off e^eps at n={n} k={k} eps={eps}")
     return ("structure-law", True,
             "bijective per-database mapping, p/q = e^eps on the grid")
 
 
+def _oracle_points(key_bits_offset: int):
+    """(point text, layout, db_leak_audit) at each ORACLE_INSTANCES point,
+    its planned key grown or shrunk by key_bits_offset bits."""
+    for n, k, l, eps, delta in ORACLE_INSTANCES:
+        params = SystemParams(n, k, l, eps, delta)
+        layout = plan_partition(params)
+        if key_bits_offset:
+            s = max(0, min(layout.key_bits + key_bits_offset,
+                           params.subpacket_total_bits()))
+            layout = layout_for_key_bits(params, s)
+        yield (f"n={n} k={k} l={l} eps={eps:g} delta={delta:g}", layout,
+               db_leak_audit(params, layout))
+
+
 def check_oracle_agreement(key_bits_offset: int = 0) -> tuple[str, bool, str]:
     """The exact (rank) mutual information, which every desired index
     leaks alike, must match the closed form."""
     worst = 0.0
-    for n, k, l, eps, delta in ORACLE_INSTANCES:
-        params = SystemParams(n, k, l, eps, delta)
-        layout = _planned_layout(params, key_bits_offset)
-        analytic = analytic_db_leakage(params, layout)
-        got = exact_mi_oracle(params, layout).max_bits
-        worst = max(worst, abs(got - analytic))
-        if abs(got - analytic) > TOL_FLOAT:
+    for point, _, leak in _oracle_points(key_bits_offset):
+        diff = abs(leak.exact_bits - leak.analytic_bits)
+        worst = max(worst, diff)
+        if diff > LEAK_TOL_BITS:
             return ("oracle-agreement", False,
-                    f"oracle {got} vs analytic {analytic} at n={n} k={k} "
-                    f"l={l} eps={eps:g} delta={delta:g}")
+                    f"oracle {leak.exact_bits} vs analytic "
+                    f"{leak.analytic_bits} at {point}")
     return ("oracle-agreement", True,
             f"{len(ORACLE_INSTANCES)} instances, max |diff| = {worst:.3g}")
-
-
-def _planned_layout(params: SystemParams, key_bits_offset: int):
-    layout = plan_partition(params)
-    if key_bits_offset:
-        s = max(0, min(layout.key_bits + key_bits_offset,
-                       params.subpacket_total_bits()))
-        layout = layout_for_key_bits(params, s)
-    return layout
 
 
 def check_leakage_budget(key_bits_offset: int = 0) -> tuple[str, bool, str]:
     """Planned layouts never leak more than delta * L bits."""
     worst = -math.inf
-    for n, k, l, eps, delta in ORACLE_INSTANCES:
-        params = SystemParams(n, k, l, eps, delta)
-        layout = _planned_layout(params, key_bits_offset)
-        excess = analytic_db_leakage(params, layout) - db_leak_budget_bits(
-            params)
+    for point, layout, leak in _oracle_points(key_bits_offset):
+        excess = leak.analytic_bits - leak.budget_bits
         worst = max(worst, excess)
-        if excess > TOL_FLOAT:
+        if excess > LEAK_TOL_BITS:
             return ("db-leakage-budget", False,
-                    f"leak exceeds budget by {excess:.6g} bits at n={n} "
-                    f"k={k} l={l} eps={eps:g} delta={delta:g} "
+                    f"leak exceeds budget by {excess:.6g} bits at {point} "
                     f"key_bits={layout.key_bits}")
     return ("db-leakage-budget", True,
             f"max leak-minus-budget = {worst:.3g} bits")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -598,3 +599,71 @@ class TestConfigPrecedence:
             "n", "k", "l", "eps", "delta", "eps_grid", "delta_grid",
             "trials", "seed", "out", "format", "transport",
             "inject_key_deficit"}
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand's command line takes only the settings it runs. The
+    flags of the other subcommands were once accepted and ignored: simulate
+    --eps-grid simulated eps = 0 and printed its verdict."""
+
+    TABLE = ("--n", "--k", "--l", "--eps", "--delta", "--eps-grid",
+             "--delta-grid", "--out", "--format")
+    FLAGS = {
+        "bounds": TABLE,
+        "sweep": TABLE,
+        "simulate": ("--n", "--k", "--l", "--eps", "--delta", "--trials",
+                     "--seed", "--out", "--format", "--transport"),
+        "verify": ("--n", "--k", "--l", "--eps", "--delta",
+                   "--inject-key-deficit"),
+    }
+
+    def test_help_lists_exactly_the_subcommands_flags(self, capsys):
+        total = 0
+        for name, flags in self.FLAGS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            listed = set(re.findall(r"--[a-z][a-z-]*", out))
+            assert listed == {"--help", "--config", *flags}, name
+            total += len(listed) - 1
+        assert total == 38
+
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--n", "2", "--k", "2", "--eps-grid", "0:1:0.5",
+         "--trials", "1000"),
+        ("verify", "--out", "{out}"),
+        ("bounds", "--trials", "5"),
+    ], ids=["simulate-eps-grid", "verify-out", "bounds-trials"])
+    def test_flag_of_another_subcommand_is_refused(self, capsys, tmp_path,
+                                                   args):
+        out_path = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out_path) for a in args])
+        cap = capsys.readouterr()
+        assert (exc.value.code, cap.out) == (2, "")
+        assert "unrecognized arguments" in cap.err
+        assert not out_path.exists()
+
+    def test_env_transport_is_checked_before_any_session(self, capsys,
+                                                         monkeypatch):
+        def no_sessions(*args, **kwargs):
+            raise AssertionError("sessions ran")
+
+        monkeypatch.setattr("alpir.netsim.run_trials", no_sessions)
+        monkeypatch.setenv("ALPIR_TRANSPORT", "xml")
+        code, out, err = run_cli(capsys, "simulate", "--trials", "10")
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown transport 'xml'; "
+                       "choose from memory, tcp\n")
+
+    def test_shared_config_sets_any_key(self, capsys, tmp_path):
+        """A config file may hold every subcommand's keys; each subcommand
+        uses the ones it runs."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 5\nseed = 1\ntransport = tcp\n"
+                       "inject-key-deficit = -1\ndelta = 0.3\n")
+        code, out, err = run_cli(capsys, "bounds", "--n", "2", "--k", "2",
+                                 "--eps", "0", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.strip().split("\n")[1].split(",")[3] == "0.3"
