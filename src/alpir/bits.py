@@ -47,8 +47,7 @@ class BitString:
     """An immutable string of `nbits` bits with integer value `value`."""
 
     # Strings made from packed bytes are _Packed, whose `value` fills
-    # this slot on first read; everywhere else `value` is a plain slot
-    # read, as cheap as a dataclass field.
+    # this slot on first read; everywhere else `value` is a plain slot read.
     __slots__ = ("nbits", "value", "_packed")
 
     def __init__(self, value: int, nbits: int) -> None:

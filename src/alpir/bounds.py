@@ -23,9 +23,8 @@ row of it, and `alpir sweep` one call per (N, K, eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .params import SystemParams
 
@@ -198,8 +197,7 @@ def gap_ratio(params: SystemParams) -> tuple[float, float]:
     return _forms(params)[10:12]
 
 
-@dataclass(frozen=True)
-class SingleServerOutcome:
+class SingleServerOutcome(NamedTuple):
     """Result of the one-database setting: feasible only for delta >= K-1."""
 
     feasible: bool
@@ -230,8 +228,7 @@ class Regime(Enum):
     GENERAL = "General"
 
 
-@dataclass(frozen=True)
-class RegimeInfo:
+class RegimeInfo(NamedTuple):
     regime: Regime
     reference_cost: Optional[float]
 
@@ -255,8 +252,7 @@ BOUNDS_FIELDS = ("n", "k", "eps", "delta", "d_upper", "d_lower", "alpha1",
                  "regime", "reference_cost")
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Everything the bound layer knows about one parameter point."""
 
     params: SystemParams

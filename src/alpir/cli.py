@@ -205,10 +205,20 @@ def _single_server_table(cfg: dict, k: int) -> int:
 def cmd_sweep(cfg: dict) -> int:
     n_values = _int_list(str(cfg["n"]))
     k_values = _int_list(str(cfg["k"]))
+    if not n_values or not k_values:
+        raise ValueError("sweep needs at least one n and one k")
     if any(n < 2 for n in n_values):
         raise ValueError("sweep needs n >= 2 everywhere; "
                          "use bounds --n 1 for the single-server table")
     return _emit(cfg, BOUNDS_FIELDS, _bounds_rows(cfg, n_values, k_values))
+
+
+def _no_grid(cfg: dict, command: str) -> None:
+    """A grid from the environment or --config would go unused here."""
+    for key in ("eps_grid", "delta_grid"):
+        if cfg[key] is not None:
+            raise ValueError(f"{key} is for bounds and sweep; {command} "
+                             "runs one point")
 
 
 def _point(cfg: dict, n: int, k: int) -> SystemParams:
@@ -218,7 +228,8 @@ def _point(cfg: dict, n: int, k: int) -> SystemParams:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    from . import netsim  # sockets and threads: simulate alone loads them
+    _no_grid(cfg, "simulate")
+    from . import netsim  # threads and transports: simulate alone loads them
     n, k = _single_int(cfg, "n"), _single_int(cfg, "k")
     params = _point(cfg, n, k)
     trials, seed = cfg["trials"], cfg["seed"]
@@ -264,6 +275,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    _no_grid(cfg, "verify")
     n = _single_int(cfg, "n")
     k = _single_int(cfg, "k")
     if n == 1:

@@ -28,9 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bits import BitString
 from .params import SystemParams
@@ -90,8 +89,7 @@ def message_space(k: int, l: int):
                     for j in range(k))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Exact mutual information, in bits; every desired index leaks it."""
 
     max_bits: float
@@ -198,8 +196,7 @@ def _rank(rows) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class QueryAuditResult:
+class QueryAuditResult(NamedTuple):
     """Sampled per-structure query frequencies and the worst ratio found."""
 
     trials_per_message: dict
@@ -277,8 +274,7 @@ def empirical_query_audit(trials: int, params: SystemParams,
         counts, dict.fromkeys(range(params.n_messages), trials), budget)
 
 
-@dataclass(frozen=True)
-class CostAuditResult:
+class CostAuditResult(NamedTuple):
     """Sampled download cost against the closed-form expectation."""
 
     trials: int
@@ -332,8 +328,7 @@ def empirical_cost_audit(trials: int, params: SystemParams,
         params, layout, bits / (params.message_bits * trials), trials)
 
 
-@dataclass(frozen=True)
-class DbLeakAudit:
+class DbLeakAudit(NamedTuple):
     """Leaked bits per session; exact_bits is None when the oracle is over
     its call cap, and then only the closed form meets the budget."""
 

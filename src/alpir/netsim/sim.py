@@ -16,7 +16,6 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from ..bits import BitString
@@ -35,8 +34,7 @@ SESSION_FIELDS = ("session_id", "desired", "class", "bits", "leaked_bits")
 CSV_HEADER = ",".join(SESSION_FIELDS)
 
 
-@dataclass(frozen=True)
-class SessionRecord:
+class SessionRecord(NamedTuple):
     session_id: int
     desired: int
     path_class: PathClass
@@ -314,8 +312,7 @@ def pipeline_window(params: SystemParams, layout: PartitionLayout) -> int:
     return max(1, IN_FLIGHT_BYTES // session)
 
 
-@dataclass
-class TrialStats:
+class TrialStats(NamedTuple):
     """Aggregates over a run; structure_counts feeds the query auditor."""
 
     records: list[SessionRecord]

@@ -9,11 +9,13 @@ Client ends (the first end of `memory_pair`, and `tcp_connect`) give up a
 read after READ_DEADLINE_S seconds without data and raise TimeoutError, so
 a stalled server cannot hang the client. Server ends block without limit:
 an idle server is normal.
+
+`socket` is imported when a TCP endpoint is made, so a memory-only run
+never loads it.
 """
 
 from __future__ import annotations
 
-import socket
 import struct
 from queue import Empty, SimpleQueue
 from typing import Optional
@@ -108,7 +110,7 @@ class SocketConnection(_BufferedReader):
     buffer, allocated once, of about what one pipeline refill's queries
     take; a recv_into that finds it drained reads straight into buffer."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock):
         self._sock = sock
         self._chunk = memoryview(bytearray(IN_FLIGHT_BYTES // 2))
 
@@ -127,17 +129,25 @@ class SocketConnection(_BufferedReader):
             raise TimeoutError("read deadline passed") from None
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        _shut_down(self._sock)
+
+
+def _shut_down(sock) -> None:
+    """Shut the socket down, then close it. On Linux, close alone does
+    not wake a thread blocked in accept()."""
+    import socket
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
 
 
 class TcpListener:
     """Loopback listener on an ephemeral port."""
 
     def __init__(self):
+        import socket
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(("127.0.0.1", 0))
@@ -148,23 +158,19 @@ class TcpListener:
         return self._sock.getsockname()[1]
 
     def accept(self) -> SocketConnection:
+        import socket
         sock, _ = self._sock.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return SocketConnection(sock)
 
     def close(self) -> None:
-        """Shut the socket down first: on Linux, close alone does not wake
-        a thread blocked in accept()."""
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        _shut_down(self._sock)
 
 
 def tcp_connect(port: int) -> SocketConnection:
     """Client end. The deadline is a kernel receive timeout (SO_RCVTIMEO),
     so sends and reads that find data cost no extra poll."""
+    import socket
     sock = socket.create_connection(("127.0.0.1", port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sec = int(READ_DEADLINE_S)

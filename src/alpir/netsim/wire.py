@@ -47,8 +47,8 @@ as it would there.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .. import bits
 from ..bits import BitString
@@ -75,8 +75,7 @@ class SessionError(Exception):
     """A retrieval session failed; nothing was partially decoded."""
 
 
-@dataclass(frozen=True)
-class WireFrame:
+class WireFrame(NamedTuple):
     msg_type: int
     payload: bytes      # or a read-only memoryview, from read_frame
 

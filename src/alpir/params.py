@@ -9,14 +9,14 @@ about the undesired messages, in bits per message bit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_DATABASES = 1 << 500  # the N bounds.scaled_terms leaves room for
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Immutable system configuration.
+class SystemParams(namedtuple(
+        "_Fields", "n_databases n_messages message_bits eps delta")):
+    """Immutable system configuration, checked whenever one is built.
 
     Attributes:
         n_databases: N, number of replicated servers, 1 to 2^500.
@@ -26,29 +26,32 @@ class SystemParams:
         delta: database-privacy budget in bits leaked per message bit, >= 0.
     """
 
-    n_databases: int
-    n_messages: int
-    message_bits: int
-    eps: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (not isinstance(self.n_databases, int)
-                or not 1 <= self.n_databases <= MAX_DATABASES):
+    def __new__(cls, n_databases: int, n_messages: int, message_bits: int,
+                eps: float, delta: float) -> "SystemParams":
+        if (not isinstance(n_databases, int)
+                or not 1 <= n_databases <= MAX_DATABASES):
             raise ValueError("n_databases must be an integer from 1 to 2^500")
-        if not isinstance(self.n_messages, int) or self.n_messages < 2:
+        if not isinstance(n_messages, int) or n_messages < 2:
             raise ValueError("n_messages must be an integer >= 2")
-        if not isinstance(self.message_bits, int) or self.message_bits < 1:
+        if not isinstance(message_bits, int) or message_bits < 1:
             raise ValueError("message_bits must be an integer >= 1")
-        if self.n_databases >= 2 and self.message_bits % (self.n_databases - 1):
+        if n_databases >= 2 and message_bits % (n_databases - 1):
             raise ValueError(
                 "message_bits must be divisible by n_databases - 1 "
                 "(subpacketization requirement)"
             )
-        if math.isnan(self.eps) or self.eps < 0:
+        if math.isnan(eps) or eps < 0:
             raise ValueError("eps must be >= 0")
-        if math.isnan(self.delta) or self.delta < 0 or math.isinf(self.delta):
+        if math.isnan(delta) or delta < 0 or math.isinf(delta):
             raise ValueError("delta must be finite and >= 0")
+        return super().__new__(cls, n_databases, n_messages, message_bits,
+                               eps, delta)
+
+    def _replace(self, **changes) -> "SystemParams":
+        # The namedtuple _replace builds through tuple.__new__, unchecked.
+        return SystemParams(**{**self._asdict(), **changes})
 
     def subpacket_count(self) -> int:
         """Subpackets per message part (N - 1). Requires N >= 2."""

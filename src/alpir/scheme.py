@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import bits
 from .bits import BitString
@@ -46,8 +45,7 @@ class PathClass(Enum):
     HIGH = "High"
 
 
-@dataclass(frozen=True)
-class PartitionLayout:
+class PartitionLayout(NamedTuple):
     """How messages are cut up and how large the shared key is."""
 
     key_bits: int
@@ -112,8 +110,7 @@ def plan_partition(params: SystemParams) -> PartitionLayout:
     return layout_for_key_bits(params, key_bits)
 
 
-@dataclass(frozen=True)
-class PathDistribution:
+class PathDistribution(NamedTuple):
     """Per-base-vector probabilities of the retrieval path draw."""
 
     n_databases: int
@@ -149,8 +146,7 @@ def path_distribution(params: SystemParams) -> PathDistribution:
                             scaled_high / denom)
 
 
-@dataclass(frozen=True)
-class PathChoice:
+class PathChoice(NamedTuple):
     base: tuple[int, ...]
     desired: int
     path_class: PathClass
@@ -264,23 +260,42 @@ def sample_path(dist: PathDistribution, desired: int, rng) -> PathChoice:
     return PathChoice(base, desired, _CLASS_OF[low])
 
 
-@dataclass(frozen=True)
-class QueryVector:
+class QueryVector(NamedTuple):
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class MessageStore:
-    """Replicated database contents: K messages plus the shared key."""
+    """Replicated database contents: K messages plus the shared key.
 
-    messages: tuple[BitString, ...]
-    key: BitString
-    # layout -> subpacket table, filled on first use by subpacket_table,
-    # and the last (layout, table) it returned.
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _last: tuple = field(default=(None, None), init=False, repr=False,
-                         compare=False)
+    Immutable, and equal and hashed by (messages, key). _tables maps a
+    layout to its subpacket table, filled on first use by
+    subpacket_table, and _last is the last (layout, table) it returned.
+    """
+
+    __slots__ = ("messages", "key", "_tables", "_last")
+
+    def __init__(self, messages: tuple[BitString, ...], key: BitString):
+        _set_messages(self, messages)
+        _set_key(self, key)
+        _set_tables(self, {})
+        _set_last(self, (None, None))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MessageStore is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MessageStore is immutable")
+
+    def __reduce__(self):
+        return (MessageStore, (self.messages, self.key))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not MessageStore:
+            return NotImplemented
+        return (self.messages, self.key) == (other.messages, other.key)
+
+    def __hash__(self) -> int:
+        return hash((self.messages, self.key))
 
     @classmethod
     def random(cls, params: SystemParams, layout: PartitionLayout,
@@ -325,8 +340,13 @@ class MessageStore:
             key = self.key.value << w if narrow else self.key._operand()
             table = self._tables.setdefault(layout,
                                             (key, tuple(rows), narrow))
-        object.__setattr__(self, "_last", (layout, table))
+        _set_last(self, (layout, table))
         return table
+
+
+# Slots are set through their descriptors, since __setattr__ refuses.
+_set_messages, _set_key, _set_tables, _set_last = (
+    MessageStore.__dict__[name].__set__ for name in MessageStore.__slots__)
 
 
 def make_queries(choice: PathChoice, params: SystemParams) -> tuple[QueryVector, ...]:
@@ -340,8 +360,7 @@ def make_queries(choice: PathChoice, params: SystemParams) -> tuple[QueryVector,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     """One database's reply: keyed XOR part and clear XOR part."""
 
     masked: BitString
@@ -483,8 +502,7 @@ def decode(answers: Sequence[Answer], queries: Sequence[QueryVector],
                           + [a0.open ^ a.open for a in rest])
 
 
-@dataclass(frozen=True)
-class ResidualView:
+class ResidualView(NamedTuple):
     """What the answers still describe after the desired message is removed.
 
     coefficients lists (message index, subpacket index) pairs of the one

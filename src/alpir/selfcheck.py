@@ -8,7 +8,6 @@ the key size so the leakage-budget check can be demonstrated to fail.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from typing import Optional
@@ -206,7 +205,7 @@ def check_threshold_ordering() -> tuple[str, bool, str]:
             bad = ("delta1 < delta2" if d1 < d2 - TOL_EXACT else
                    "alpha1 < alpha2" if a1 < a2 - TOL_EXACT else None)
             if bad:
-                point = dataclasses.replace(params, delta=row[3])
+                point = params._replace(delta=row[3])
                 return ("threshold-ordering", False, f"{bad} at {point}")
         for col, thr in ((4, rows[0][8]), (5, rows[0][9])):
             if thr <= 0.0:

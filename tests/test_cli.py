@@ -223,6 +223,18 @@ class TestSweepCommand:
             assert err.startswith(f"error: {error}")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("args", [("--n", ",", "--k", "2"),
+                                      ("--n", "2", "--k", ",")],
+                             ids=["empty-n", "empty-k"])
+    def test_empty_shape_list_is_a_clean_error(self, capsys, tmp_path, args):
+        """Each once printed only the CSV header and exited 0."""
+        out_path = tmp_path / "rows.csv"
+        for extra in ((), ("--out", str(out_path))):
+            code, out, err = run_cli(capsys, "sweep", *args, *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: sweep needs at least one n and one k\n"
+        assert not out_path.exists()
+
     def test_first_bad_row_names_the_error(self, capsys):
         """With several bad values, the error is the first bad row's."""
         cases = [
@@ -656,6 +668,30 @@ class TestFlagsPerSubcommand:
         assert (code, out) == (2, "")
         assert err == ("error: unknown transport 'xml'; "
                        "choose from memory, tcp\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("key", ["eps_grid", "delta_grid"])
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_grid_for_one_point_is_refused(self, capsys, tmp_path,
+                                           monkeypatch, command, key, source):
+        """ALPIR_EPS_GRID=0:1:0.5 alpir simulate once simulated eps = 0 and
+        printed verdict: PASS. No session or check may run."""
+        def nothing_runs(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr("alpir.netsim.run_trials", nothing_runs)
+        monkeypatch.setattr("alpir.selfcheck.run_all", nothing_runs)
+        args = [command, "--n", "2", "--k", "2"]
+        if source == "env":
+            monkeypatch.setenv("ALPIR_" + key.upper(), "0:1:0.5")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = 0:1:0.5\n")
+            args += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {key} is for bounds and sweep; {command} "
+                       "runs one point\n")
 
     def test_shared_config_sets_any_key(self, capsys, tmp_path):
         """A config file may hold every subcommand's keys; each subcommand
