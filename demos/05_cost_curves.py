@@ -25,7 +25,7 @@ with tempfile.TemporaryDirectory(prefix="cost_curves_") as out_dir:
             for eps in EPS_GRID:
                 rep = bounds_report(SystemParams(N, K, L, eps, delta))
                 fh.write(f"{eps!r},{rep.d_upper!r},{rep.d_lower!r},"
-                         f"{rep.delta1!r},{rep.regime.value}\n")
+                         f"{rep.delta1!r},{rep.regime}\n")
         paths.append(path)
     print(f"wrote {len(paths)} curve files to {out_dir}")
 print()

@@ -7,10 +7,8 @@ simulator (alpir.netsim), and a command-line front end (alpir.cli).
 """
 
 from .bits import BitString
-from .bounds import (BoundsReport, Regime, RegimeInfo, SingleServerOutcome,
-                     alpha1_rate, alpha2_rate, bounds_report, classify_regime,
-                     d_lower, d_upper, delta1_threshold, delta2_threshold,
-                     gap_ratio, single_server_cost)
+from .bounds import (Bounds, SingleServerOutcome, bounds_report,
+                     single_server_cost)
 from .leakage import (CostAuditResult, OracleResult, QueryAuditResult,
                       StateSpaceError, analytic_db_leakage,
                       analytic_user_ratio, db_leak_budget_bits,

@@ -12,18 +12,17 @@ curve is flat and no shared randomness is required. Below the threshold
 the cost falls linearly in delta and the databases must share a key of
 alpha1 (resp. alpha2) L bits that the user never sees.
 
-All functions take a SystemParams, are finite for every finite eps and
-take exact limits at eps = math.inf. Every closed form is written once,
-in the one evaluator `bounds_rows`: it evaluates the terms that depend on
-eps alone once per (N, K, eps), then gives one row per delta. The
-single-value functions, `classify_regime` and `bounds_report` read one
-row of it, and `alpir sweep` one call per (N, K, eps).
+Every closed form is written once, in the one evaluator `bounds_rows`:
+it evaluates the terms that depend on eps alone once per (N, K, eps),
+then gives one row of the `Bounds` fields per delta. Its rows are finite
+for every finite eps and take exact limits at eps = math.inf.
+`bounds_report` names the row at one SystemParams, and `alpir sweep`
+makes one call per (N, K, eps).
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .params import SystemParams
@@ -33,6 +32,56 @@ REL_TOL = 1e-9
 
 # ln 2 = _LN2_HI + _LN2_LO (fdlibm); j * _LN2_HI is exact for |j| < 2^21.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+class Bounds(NamedTuple):
+    """Everything the bound layer knows about one parameter point, in the
+    column order that bounds and sweep print.
+
+    With F = N e^eps and M = N^(K-1):
+    - d_upper, the achievable cost: 1 + 1/(N-1) - delta e^eps/(M-1) below
+      delta1, flat at 1 + delta1 from it on.
+    - d_lower, the converse cost: 1 + 1/(F-1) - delta/(F^(K-1)-1) below
+      delta2, flat at 1 + delta2 from it on.
+    - alpha1, the scheme's shared-key rate (key bits per message bit):
+      1/(N-1) - delta (e^eps + M - 1)/(M - 1), clamped at zero; exactly
+      zero from delta1 on, and for every delta at eps = inf.
+    - alpha2, the converse lower bound on the key rate:
+      1/(F-1) - delta F^(K-1)/(F^(K-1) - 1), clamped at zero; <= alpha1.
+    - delta1 = (M - 1)/((N-1)(e^eps + M - 1)), the least delta at which
+      the scheme needs no key; decreasing in eps, 0 at eps = inf.
+    - delta2 = (F^(K-1) - 1)/((F-1) F^(K-1)), its converse counterpart;
+      never above delta1.
+    - gap_ratio = d_upper / d_lower, never above gap_cap =
+      (N - e^-eps)/(N - 1), and 1 at eps = 0, where the bounds coincide.
+    - regime names the privacy regime, as the string the CSV prints, and
+      reference_cost is its closed-form cost, or None. eps = 0 and
+      delta = 0 (exact) is "SPIR"; eps = 0 with delta at delta1 (relative
+      tolerance REL_TOL) is classic "PIR", cost sum(N^-j, j < K); eps = 0
+      below delta1 trades key for leakage ("LeakyDB", where both bounds
+      agree); delta > 0 at or past delta1 with eps > 0 is user-side-only
+      leakage ("L-PIR"); eps = inf with delta = 0 needs no protocol at all
+      ("NoPrivacy", cost 1). SPIR, LeakyDB and L-PIR cost d_upper. Every
+      other point is "General", with no reference cost.
+    """
+
+    n: int
+    k: int
+    eps: float
+    delta: float
+    d_upper: float
+    d_lower: float
+    alpha1: float
+    alpha2: float
+    delta1: float
+    delta2: float
+    gap_ratio: float
+    gap_cap: float
+    regime: str
+    reference_cost: Optional[float]
+
+
+BOUNDS_FIELDS = Bounds._fields
 
 
 def scaled_terms(eps: float, big: int) -> tuple[int, float, float]:
@@ -53,8 +102,8 @@ def scaled_terms(eps: float, big: int) -> tuple[int, float, float]:
 
 def bounds_rows(params: SystemParams,
                 deltas: Sequence[float]) -> Iterator[tuple]:
-    """The BOUNDS_FIELDS row at params' N, K and eps for each delta in
-    deltas, in order; params.delta is not read.
+    """The Bounds row at params' N, K and eps for each delta in deltas, in
+    order, as a plain tuple; params.delta is not read.
 
     The one place the closed forms are written. Both bounds are affine in
     delta once (N, K, eps) is fixed, so every term that depends on eps
@@ -118,7 +167,7 @@ def bounds_rows(params: SystemParams,
             1.0 + inv - delta * e / m1, max(0.0, inv - delta * w / m1))
         lower, a2 = (lower_flat, 0.0) if 0 < delta >= d2 else (
             1.0 + r - delta * ot / fd, max(0.0, r - delta * fk / fd))
-        # The Regime values; see classify_regime.
+        # The regime rules are in the Bounds docstring.
         if eps:
             regime, cost = ("L-PIR", upper) if flat else ("General", None)
         elif not delta:
@@ -132,69 +181,9 @@ def bounds_rows(params: SystemParams,
                cap, regime, cost)
 
 
-def _forms(params: SystemParams) -> tuple:
-    """The BOUNDS_FIELDS row at params."""
-    return next(bounds_rows(params, (params.delta,)))
-
-
-def delta1_threshold(params: SystemParams) -> float:
-    """Smallest delta at which the achievable scheme needs no shared key.
-
-    Equals (N^(K-1) - 1) / ((N-1) (e^eps + N^(K-1) - 1)); decreasing in
-    eps, 0 in the eps -> infinity limit.
-    """
-    return _forms(params)[8]
-
-
-def delta2_threshold(params: SystemParams) -> float:
-    """Converse-side counterpart of delta1_threshold.
-
-    Equals (F^(K-1) - 1) / ((F - 1) F^(K-1)) with F = N e^eps; never
-    exceeds delta1_threshold.
-    """
-    return _forms(params)[9]
-
-
-def alpha1_rate(params: SystemParams) -> float:
-    """Shared-key rate (key bits per message bit) of the achievable scheme.
-
-    1/(N-1) - delta (e^eps + N^(K-1) - 1)/(N^(K-1) - 1), clamped at zero;
-    exactly zero for delta >= delta1_threshold, and zero for all delta in
-    the eps -> infinity limit.
-    """
-    return _forms(params)[6]
-
-
-def alpha2_rate(params: SystemParams) -> float:
-    """Converse lower bound on the shared-key rate; <= alpha1_rate."""
-    return _forms(params)[7]
-
-
-def d_upper(params: SystemParams) -> float:
-    """Achievable download cost in bits per message bit.
-
-    1 + 1/(N-1) - delta e^eps/(N^(K-1) - 1) for delta below
-    delta1_threshold; flat at 1 + delta1_threshold beyond it.
-    """
-    return _forms(params)[4]
-
-
-def d_lower(params: SystemParams) -> float:
-    """Converse download cost in bits per message bit.
-
-    1 + 1/(F-1) - delta/(F^(K-1) - 1) with F = N e^eps for delta below
-    delta2_threshold; flat at 1 + delta2_threshold beyond it.
-    """
-    return _forms(params)[5]
-
-
-def gap_ratio(params: SystemParams) -> tuple[float, float]:
-    """(d_upper / d_lower, multiplicative cap (N - e^-eps)/(N - 1)).
-
-    The ratio never exceeds the cap and equals 1 at eps = 0, where the
-    two bounds coincide for every delta.
-    """
-    return _forms(params)[10:12]
+def bounds_report(params: SystemParams) -> Bounds:
+    """The Bounds at params."""
+    return Bounds._make(next(bounds_rows(params, (params.delta,))))
 
 
 class SingleServerOutcome(NamedTuple):
@@ -212,73 +201,8 @@ def single_server_cost(n_messages: int, delta: float) -> SingleServerOutcome:
     """
     if n_messages < 2:
         raise ValueError("n_messages must be >= 2")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and >= 0")
     if delta < n_messages - 1:
         return SingleServerOutcome(False, math.inf)
     return SingleServerOutcome(True, float(n_messages))
-
-
-class Regime(Enum):
-    SPIR = "SPIR"
-    PIR = "PIR"
-    L_PIR = "L-PIR"
-    LEAKY_DB = "LeakyDB"
-    NO_PRIVACY = "NoPrivacy"
-    GENERAL = "General"
-
-
-class RegimeInfo(NamedTuple):
-    regime: Regime
-    reference_cost: Optional[float]
-
-
-def classify_regime(params: SystemParams) -> RegimeInfo:
-    """Name the privacy regime and attach its closed-form cost if it has one.
-
-    eps = 0 and delta = 0 (exact) is symmetric PIR; eps = 0 with delta at
-    the keyless threshold (relative tolerance 1e-9) is classic PIR; eps = 0
-    below the threshold trades key for leakage (LeakyDB, where both bounds
-    agree); delta at or past the threshold with eps > 0 is user-side-only
-    leakage (L-PIR); unbounded eps with delta = 0 needs no protocol at all.
-    """
-    row = _forms(params)
-    return RegimeInfo(Regime(row[12]), row[13])
-
-
-# The columns of a BoundsReport row, as bounds and sweep print them.
-BOUNDS_FIELDS = ("n", "k", "eps", "delta", "d_upper", "d_lower", "alpha1",
-                 "alpha2", "delta1", "delta2", "gap_ratio", "gap_cap",
-                 "regime", "reference_cost")
-
-
-class BoundsReport(NamedTuple):
-    """Everything the bound layer knows about one parameter point."""
-
-    params: SystemParams
-    d_upper: float
-    d_lower: float
-    alpha1: float
-    alpha2: float
-    delta1: float
-    delta2: float
-    gap_ratio: float
-    gap_cap: float
-    regime: Regime
-    reference_cost: Optional[float]
-
-    def row(self) -> tuple:
-        """The values of BOUNDS_FIELDS, in that order."""
-        p = self.params
-        return (p.n_databases, p.n_messages, p.eps, p.delta, self.d_upper,
-                self.d_lower, self.alpha1, self.alpha2, self.delta1,
-                self.delta2, self.gap_ratio, self.gap_cap, self.regime.value,
-                self.reference_cost)
-
-    def to_dict(self) -> dict:
-        return dict(zip(BOUNDS_FIELDS, self.row()))
-
-
-def bounds_report(params: SystemParams) -> BoundsReport:
-    row = _forms(params)
-    return BoundsReport(params, *row[4:12], Regime(row[12]), row[13])

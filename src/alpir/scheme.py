@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import bits
 from .bits import BitString
-from .bounds import alpha1_rate, scaled_terms
+from .bounds import bounds_report, scaled_terms
 from .params import SystemParams
 
 # Guard subtracted inside the ceiling that quantizes the key size, so that
@@ -104,7 +104,7 @@ def plan_partition(params: SystemParams) -> PartitionLayout:
     effective_delta, which can exceed d_upper at delta by up to
     low_total / L.
     """
-    alpha = alpha1_rate(params)
+    alpha = bounds_report(params).alpha1
     key_bits = math.ceil(alpha * params.message_bits - CEIL_GUARD)
     key_bits = max(0, min(key_bits, params.subpacket_total_bits()))
     return layout_for_key_bits(params, key_bits)

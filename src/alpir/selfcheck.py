@@ -47,12 +47,13 @@ ORACLE_INSTANCES = (
 
 def _grid_blocks():
     """(params, rows): params at each (N, K, eps) of the grid, and the
-    bounds rows of every grid delta there, from one bounds_rows call."""
+    Bounds of every grid delta there, from one bounds_rows call."""
     for n in GRID_N:
         for k in GRID_K:
             for eps in GRID_EPS:
                 params = SystemParams(n, k, default_message_bits(n), eps, 0.0)
-                yield params, list(bnd.bounds_rows(params, GRID_DELTA))
+                yield params, list(map(bnd.Bounds._make,
+                                       bnd.bounds_rows(params, GRID_DELTA)))
 
 
 def check_exhaustive_correctness() -> tuple[str, bool, str]:
@@ -178,13 +179,13 @@ def check_gap_cap() -> tuple[str, bool, str]:
     points = 0
     for _, rows in _grid_blocks():
         for row in rows:
-            (n, k, eps, delta), (ratio, cap) = row[:4], row[10:12]
+            ratio, cap = row.gap_ratio, row.gap_cap
             points += 1
             if ratio > cap + TOL_FLOAT or ratio < 1.0 - TOL_EXACT:
                 return ("gap-cap-grid", False,
                         f"ratio {ratio} outside [1, cap={cap}] at "
-                        f"{n},{k},{eps},{delta}")
-            if eps == 0.0 and abs(ratio - 1.0) > TOL_EXACT:
+                        f"{row.n},{row.k},{row.eps},{row.delta}")
+            if row.eps == 0.0 and abs(ratio - 1.0) > TOL_EXACT:
                 return ("gap-cap-grid", False,
                         f"bounds differ at eps=0: ratio={ratio}")
     return ("gap-cap-grid", True, f"{points} grid points inside the cap")
@@ -201,17 +202,19 @@ def check_threshold_ordering() -> tuple[str, bool, str]:
     for params, rows in _grid_blocks():
         for row in rows:
             points += 1
-            a1, a2, d1, d2 = row[6:10]
+            a1, a2, d1, d2 = row.alpha1, row.alpha2, row.delta1, row.delta2
             bad = ("delta1 < delta2" if d1 < d2 - TOL_EXACT else
                    "alpha1 < alpha2" if a1 < a2 - TOL_EXACT else None)
             if bad:
-                point = params._replace(delta=row[3])
+                point = params._replace(delta=row.delta)
                 return ("threshold-ordering", False, f"{bad} at {point}")
-        for col, thr in ((4, rows[0][8]), (5, rows[0][9])):
+        for name, thr in (("d_upper", rows[0].delta1),
+                          ("d_lower", rows[0].delta2)):
             if thr <= 0.0:
                 continue
-            below, at = (row[col] for row in bnd.bounds_rows(
-                params, (math.nextafter(thr, 0.0), thr)))
+            below, at = (getattr(bnd.Bounds._make(row), name) for row in
+                         bnd.bounds_rows(params,
+                                         (math.nextafter(thr, 0.0), thr)))
             if abs(below - at) > TOL_EXACT:
                 return ("threshold-ordering", False,
                         f"cost jump {abs(below - at):.3g} across threshold "

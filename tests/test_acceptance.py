@@ -14,11 +14,9 @@ from itertools import product
 
 import pytest
 
-from alpir import (BitString, MessageStore, Regime, SystemParams, alpha1_rate,
-                   alpha2_rate, answer, classify_base, classify_regime,
-                   d_lower, d_upper, decode, delta1_threshold,
-                   delta2_threshold, derived_rng, empirical_query_audit,
-                   exact_mi_oracle, expected_cost, gap_ratio,
+from alpir import (BitString, MessageStore, SystemParams, answer,
+                   bounds_report, classify_base, decode, derived_rng,
+                   empirical_query_audit, exact_mi_oracle, expected_cost,
                    layout_for_key_bits, make_queries, path_distribution,
                    plan_partition, single_server_cost)
 from alpir.cli import main
@@ -48,24 +46,24 @@ def test_c01_perfect_privacy_cost_is_exact():
     for n in (2, 3, 5):
         p = _params(n, 2, 0.0, 0.0)
         expect = n / (n - 1)
-        assert abs(d_upper(p) - expect) <= EXACT
-        assert abs(d_lower(p) - expect) <= EXACT
-        assert abs(alpha1_rate(p) - 1 / (n - 1)) <= EXACT
-        info = classify_regime(p)
-        assert info.regime is Regime.SPIR
-        assert abs(info.reference_cost - expect) <= EXACT
+        rep = bounds_report(p)
+        assert abs(rep.d_upper - expect) <= EXACT
+        assert abs(rep.d_lower - expect) <= EXACT
+        assert abs(rep.alpha1 - 1 / (n - 1)) <= EXACT
+        assert rep.regime == "SPIR"
+        assert abs(rep.reference_cost - expect) <= EXACT
 
 
 def test_c02_classic_pir_point_is_geometric_sum():
     """At eps = 0 and the leakage threshold, cost is sum of n^-j."""
     for n in (2, 3):
         for k in (2, 3, 4):
-            thr = delta1_threshold(_params(n, k, 0.0, 0.0))
-            p = _params(n, k, 0.0, thr)
+            thr = bounds_report(_params(n, k, 0.0, 0.0)).delta1
+            rep = bounds_report(_params(n, k, 0.0, thr))
             expect = sum(n ** -j for j in range(k))
-            assert abs(d_upper(p) - expect) <= EXACT
-            assert abs(d_lower(p) - expect) <= EXACT
-            assert classify_regime(p).regime is Regime.PIR
+            assert abs(rep.d_upper - expect) <= EXACT
+            assert abs(rep.d_lower - expect) <= EXACT
+            assert rep.regime == "PIR"
 
 
 def test_c03_worked_example_end_to_end():
@@ -92,10 +90,11 @@ def test_c04_bound_gap_stays_inside_cap():
     for n, k in SHAPES:
         for eps in EPS_GRID:
             for delta in DELTA_GRID:
-                ratio, cap = gap_ratio(_params(n, k, eps, delta))
-                assert ratio <= cap + CAP_SLACK, (n, k, eps, delta)
+                rep = bounds_report(_params(n, k, eps, delta))
+                assert rep.gap_ratio <= rep.gap_cap + CAP_SLACK, (
+                    n, k, eps, delta)
                 if eps == 0.0:
-                    assert abs(ratio - 1.0) <= EXACT, (n, k, delta)
+                    assert abs(rep.gap_ratio - 1.0) <= EXACT, (n, k, delta)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
@@ -104,18 +103,19 @@ def test_c05_threshold_ordering_and_continuity():
     """delta1 >= delta2, alpha1 >= alpha2, and no jump at either knee."""
     for n, k in SHAPES:
         for eps in EPS_GRID:
-            p = _params(n, k, eps, 0.0)
-            t1, t2 = delta1_threshold(p), delta2_threshold(p)
+            rep = bounds_report(_params(n, k, eps, 0.0))
+            t1, t2 = rep.delta1, rep.delta2
             assert t1 >= t2 - EXACT, (n, k, eps)
             for delta in DELTA_GRID:
-                pd = _params(n, k, eps, delta)
-                assert alpha1_rate(pd) >= alpha2_rate(pd) - EXACT
-            for thr, fn in ((t1, d_upper), (t2, d_lower)):
+                rep = bounds_report(_params(n, k, eps, delta))
+                assert rep.alpha1 >= rep.alpha2 - EXACT
+            for thr, name in ((t1, "d_upper"), (t2, "d_lower")):
                 if thr == 0.0:
                     continue
-                below = fn(_params(n, k, eps, math.nextafter(thr, 0.0)))
-                at = fn(_params(n, k, eps, thr))
-                assert abs(below - at) <= EXACT, (n, k, eps, fn.__name__)
+                below, at = (
+                    getattr(bounds_report(_params(n, k, eps, d)), name)
+                    for d in (math.nextafter(thr, 0.0), thr))
+                assert abs(below - at) <= EXACT, (n, k, eps, name)
 
 
 def test_c06_exhaustive_decoding_of_small_instances():

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alpir import (Regime, SystemParams, alpha1_rate, alpha2_rate,
-                   bounds_report, classify_regime, d_lower, d_upper,
-                   delta1_threshold, delta2_threshold, gap_ratio,
-                   path_distribution, plan_partition, single_server_cost)
-from alpir.bounds import RegimeInfo, bounds_rows
+from alpir import (Bounds, SystemParams, bounds_report, path_distribution,
+                   plan_partition, single_server_cost)
+from alpir.bounds import bounds_rows
 from alpir.params import MAX_DATABASES
 from bounds_reference import CTX, reference_forms, ulps
 
@@ -28,150 +26,153 @@ def params(n, k, eps, delta, l=None):
                         delta)
 
 
+def report(n, k, eps, delta, l=None):
+    return bounds_report(params(n, k, eps, delta, l))
+
+
 WORKED = params(2, 2, math.log(1.5), 4 / 15, l=3)
 
 
 class TestThresholds:
     def test_delta1_worked_point(self):
-        assert delta1_threshold(WORKED) == pytest.approx(0.4, abs=EXACT)
+        assert bounds_report(WORKED).delta1 == pytest.approx(0.4, abs=EXACT)
 
     def test_delta1_at_eps_zero(self):
-        assert delta1_threshold(params(2, 2, 0.0, 0.0)) == 0.5
+        assert report(2, 2, 0.0, 0.0).delta1 == 0.5
 
     def test_delta1_hand_value(self):
         # (9-1) / (2 (e + 8)) simplified by hand
         expect = 4.0 / (math.e + 8.0)
-        assert delta1_threshold(params(3, 3, 1.0, 0.0)) == pytest.approx(
+        assert report(3, 3, 1.0, 0.0).delta1 == pytest.approx(
             expect, abs=EXACT)
 
     def test_delta2_at_eps_zero(self):
-        assert delta2_threshold(params(2, 2, 0.0, 0.0)) == 0.5
+        assert report(2, 2, 0.0, 0.0).delta2 == 0.5
 
     def test_delta2_worked_point(self):
         # ((2*1.5)-1) / ((2*1.5-1) * 3) = 2/6
-        assert delta2_threshold(WORKED) == pytest.approx(1 / 3, abs=EXACT)
+        assert bounds_report(WORKED).delta2 == pytest.approx(1 / 3,
+                                                             abs=EXACT)
 
     def test_delta2_three_messages(self):
         # F = 2, K-1 = 2: (4-1)/((2-1)*4) = 3/4; also forced by the
         # eps=0 coincidence with delta1 = (4-1)/(1*4).
-        p = params(2, 3, 0.0, 0.0)
-        assert delta2_threshold(p) == pytest.approx(0.75, abs=EXACT)
-        assert delta2_threshold(p) == pytest.approx(
-            delta1_threshold(p), abs=EXACT)
+        rep = report(2, 3, 0.0, 0.0)
+        assert rep.delta2 == pytest.approx(0.75, abs=EXACT)
+        assert rep.delta2 == pytest.approx(rep.delta1, abs=EXACT)
 
     def test_thresholds_vanish_at_unbounded_eps(self):
-        p = params(3, 2, math.inf, 0.0)
-        assert delta1_threshold(p) == 0.0
-        assert delta2_threshold(p) == 0.0
+        rep = report(3, 2, math.inf, 0.0)
+        assert rep.delta1 == 0.0
+        assert rep.delta2 == 0.0
 
     def test_ordering_on_grid(self):
         for n in (2, 3, 5):
             for k in (2, 3, 4):
                 for eps in [0.25 * j for j in range(21)]:
-                    p = params(n, k, eps, 0.0)
-                    assert delta1_threshold(p) >= delta2_threshold(p) - EXACT
+                    rep = report(n, k, eps, 0.0)
+                    assert rep.delta1 >= rep.delta2 - EXACT
 
 
 class TestKeyRates:
     def test_alpha1_spir(self):
-        assert alpha1_rate(params(2, 2, 0.0, 0.0)) == 1.0
-        assert alpha1_rate(params(3, 2, 0.0, 0.0)) == 0.5
+        assert report(2, 2, 0.0, 0.0).alpha1 == 1.0
+        assert report(3, 2, 0.0, 0.0).alpha1 == 0.5
 
     def test_alpha1_worked_point(self):
-        assert alpha1_rate(WORKED) == pytest.approx(1 / 3, abs=EXACT)
+        assert bounds_report(WORKED).alpha1 == pytest.approx(1 / 3,
+                                                             abs=EXACT)
 
     def test_alpha1_zero_past_threshold(self):
-        assert alpha1_rate(params(2, 2, 5.0, 0.5)) == 0.0
+        assert report(2, 2, 5.0, 0.5).alpha1 == 0.0
 
     def test_alpha1_zero_exactly_at_threshold(self):
-        p = params(2, 2, 1.0, 0.0)
-        thr = delta1_threshold(p)
-        assert alpha1_rate(params(2, 2, 1.0, thr)) == 0.0
+        thr = report(2, 2, 1.0, 0.0).delta1
+        assert report(2, 2, 1.0, thr).alpha1 == 0.0
 
     def test_alpha2_examples(self):
-        assert alpha2_rate(params(2, 2, 0.0, 0.0)) == 1.0
-        assert alpha2_rate(params(2, 2, 0.0, 0.25)) == pytest.approx(
+        assert report(2, 2, 0.0, 0.0).alpha2 == 1.0
+        assert report(2, 2, 0.0, 0.25).alpha2 == pytest.approx(
             0.5, abs=EXACT)
-        p = params(2, 2, 1.0, 0.0)
-        assert alpha2_rate(params(2, 2, 1.0, delta2_threshold(p))) == 0.0
+        thr = report(2, 2, 1.0, 0.0).delta2
+        assert report(2, 2, 1.0, thr).alpha2 == 0.0
 
     def test_alpha_ordering_on_grid(self):
         for n in (2, 3, 5):
             for eps in (0.0, 0.5, 2.0):
                 for delta in [0.05 * j for j in range(21)]:
-                    p = params(n, 3, eps, delta)
-                    assert alpha1_rate(p) >= alpha2_rate(p) - EXACT
+                    rep = report(n, 3, eps, delta)
+                    assert rep.alpha1 >= rep.alpha2 - EXACT
 
     def test_alpha_zero_at_unbounded_eps_even_for_delta_zero(self):
-        p = params(2, 2, math.inf, 0.0)
-        assert alpha1_rate(p) == 0.0
-        assert alpha2_rate(p) == 0.0
+        rep = report(2, 2, math.inf, 0.0)
+        assert rep.alpha1 == 0.0
+        assert rep.alpha2 == 0.0
 
 
 class TestCosts:
     def test_spir_exact(self):
         for n, expect in ((2, 2.0), (3, 1.5), (5, 1.25)):
-            p = params(n, 2, 0.0, 0.0)
-            assert d_upper(p) == pytest.approx(expect, abs=EXACT)
-            assert d_lower(p) == pytest.approx(expect, abs=EXACT)
+            rep = report(n, 2, 0.0, 0.0)
+            assert rep.d_upper == pytest.approx(expect, abs=EXACT)
+            assert rep.d_lower == pytest.approx(expect, abs=EXACT)
 
     def test_pir_point_is_geometric_sum(self):
         for n in (2, 3):
             for k in (2, 3, 4):
-                p0 = params(n, k, 0.0, 0.0)
-                p = params(n, k, 0.0, delta1_threshold(p0))
+                rep = report(n, k, 0.0, report(n, k, 0.0, 0.0).delta1)
                 expect = sum(n ** -j for j in range(k))
-                assert d_upper(p) == pytest.approx(expect, abs=EXACT)
-                assert d_lower(p) == pytest.approx(expect, abs=EXACT)
+                assert rep.d_upper == pytest.approx(expect, abs=EXACT)
+                assert rep.d_lower == pytest.approx(expect, abs=EXACT)
 
     def test_worked_point(self):
-        assert d_upper(WORKED) == pytest.approx(1.6, abs=EXACT)
+        rep = bounds_report(WORKED)
+        assert rep.d_upper == pytest.approx(1.6, abs=EXACT)
         # 1 + 1/2 - (4/15)/2 = 41/30
-        assert d_lower(WORKED) == pytest.approx(41 / 30, abs=EXACT)
+        assert rep.d_lower == pytest.approx(41 / 30, abs=EXACT)
 
     def test_large_eps_value(self):
-        p = params(2, 2, 10.0, 0.4)
-        assert d_upper(p) == pytest.approx(1.0 + 1.0 / (math.e ** 10 + 1.0),
-                                           abs=EXACT)
+        assert report(2, 2, 10.0, 0.4).d_upper == pytest.approx(
+            1.0 + 1.0 / (math.e ** 10 + 1.0), abs=EXACT)
 
     def test_leaky_db_closed_form(self):
         # at eps=0 both bounds equal N/(N-1) - delta/(N^(K-1)-1) below
         # the threshold
         for n, k in ((2, 2), (3, 2), (2, 3)):
-            thr = delta1_threshold(params(n, k, 0.0, 0.0))
+            thr = report(n, k, 0.0, 0.0).delta1
             for frac in (0.0, 0.3, 0.7, 0.999):
                 delta = frac * thr
-                p = params(n, k, 0.0, delta)
+                rep = report(n, k, 0.0, delta)
                 expect = n / (n - 1) - delta / (n ** (k - 1) - 1)
-                assert d_upper(p) == pytest.approx(expect, abs=EXACT)
-                assert d_lower(p) == pytest.approx(expect, abs=EXACT)
+                assert rep.d_upper == pytest.approx(expect, abs=EXACT)
+                assert rep.d_lower == pytest.approx(expect, abs=EXACT)
 
     def test_flat_past_threshold(self):
-        p0 = params(2, 3, 1.0, 0.0)
-        thr = delta1_threshold(p0)
-        at = d_upper(params(2, 3, 1.0, thr))
+        thr = report(2, 3, 1.0, 0.0).delta1
+        at = report(2, 3, 1.0, thr).d_upper
         assert at == 1.0 + thr
-        assert d_upper(params(2, 3, 1.0, 0.9)) == at
-        assert d_upper(params(2, 3, 1.0, 5.0)) == at
+        assert report(2, 3, 1.0, 0.9).d_upper == at
+        assert report(2, 3, 1.0, 5.0).d_upper == at
 
     def test_continuity_at_thresholds(self):
         for n, k, eps in ((2, 2, 0.5), (3, 4, 5.0), (5, 3, 2.0)):
-            p0 = params(n, k, eps, 0.0)
-            for thr, fn in ((delta1_threshold(p0), d_upper),
-                            (delta2_threshold(p0), d_lower)):
-                below = fn(params(n, k, eps, math.nextafter(thr, 0.0)))
-                at = fn(params(n, k, eps, thr))
+            rep0 = report(n, k, eps, 0.0)
+            for thr, name in ((rep0.delta1, "d_upper"),
+                              (rep0.delta2, "d_lower")):
+                below = getattr(
+                    report(n, k, eps, math.nextafter(thr, 0.0)), name)
+                at = getattr(report(n, k, eps, thr), name)
                 assert abs(below - at) <= EXACT
 
     def test_unbounded_eps_costs_one(self):
         for delta in (0.0, 0.2, 1.0):
-            p = params(2, 2, math.inf, delta)
-            assert d_upper(p) == 1.0
-            assert d_lower(p) == 1.0
+            rep = report(2, 2, math.inf, delta)
+            assert rep.d_upper == 1.0
+            assert rep.d_lower == 1.0
 
     def test_large_eps_matches_infinity(self):
-        large = params(2, 2, 60.0, 0.1)
-        assert d_upper(large) == d_upper(params(2, 2, math.inf, 0.1))
+        assert report(2, 2, 60.0, 0.1).d_upper == report(
+            2, 2, math.inf, 0.1).d_upper
 
     @given(st.integers(2, 5), st.integers(2, 4),
            st.floats(0, 5), st.floats(0, 5),
@@ -180,34 +181,35 @@ class TestCosts:
     def test_monotone_in_eps_and_delta(self, n, k, e1, e2, x1, x2):
         lo_e, hi_e = sorted((e1, e2))
         lo_x, hi_x = sorted((x1, x2))
-        for fn in (d_upper, d_lower):
-            assert fn(params(n, k, hi_e, lo_x)) <= fn(
-                params(n, k, lo_e, lo_x)) + EXACT
-            assert fn(params(n, k, lo_e, hi_x)) <= fn(
-                params(n, k, lo_e, lo_x)) + EXACT
+        base = report(n, k, lo_e, lo_x)
+        for name in ("d_upper", "d_lower"):
+            assert getattr(report(n, k, hi_e, lo_x), name) <= getattr(
+                base, name) + EXACT
+            assert getattr(report(n, k, lo_e, hi_x), name) <= getattr(
+                base, name) + EXACT
 
     @given(st.integers(2, 5), st.integers(2, 4),
            st.floats(0, 6), st.floats(0, 1.2))
     @settings(max_examples=200, deadline=None)
     def test_gap_inside_cap(self, n, k, eps, delta):
-        ratio, cap = gap_ratio(params(n, k, eps, delta))
-        assert 1.0 - EXACT <= ratio <= cap + 1e-9
+        rep = report(n, k, eps, delta)
+        assert 1.0 - EXACT <= rep.gap_ratio <= rep.gap_cap + 1e-9
 
 
 class TestGapRatio:
     def test_equality_at_eps_zero(self):
         for delta in (0.0, 0.2, 0.5, 1.0):
-            ratio, cap = gap_ratio(params(3, 2, 0.0, delta))
-            assert ratio == pytest.approx(1.0, abs=EXACT)
+            assert report(3, 2, 0.0, delta).gap_ratio == pytest.approx(
+                1.0, abs=EXACT)
 
     def test_worked_point(self):
-        ratio, cap = gap_ratio(WORKED)
+        rep = bounds_report(WORKED)
         # (8/5) / (41/30) = 48/41
-        assert ratio == pytest.approx(48 / 41, abs=EXACT)
-        assert cap == pytest.approx(4 / 3, abs=EXACT)
+        assert rep.gap_ratio == pytest.approx(48 / 41, abs=EXACT)
+        assert rep.gap_cap == pytest.approx(4 / 3, abs=EXACT)
 
     def test_cap_hand_value(self):
-        _, cap = gap_ratio(params(2, 2, math.log(2.0), 0.0))
+        cap = report(2, 2, math.log(2.0), 0.0).gap_cap
         assert cap == pytest.approx(1.5, abs=EXACT)
 
 
@@ -232,71 +234,65 @@ class TestSingleServer:
     def test_validation(self):
         with pytest.raises(ValueError):
             single_server_cost(1, 0.0)
-        with pytest.raises(ValueError):
-            single_server_cost(3, -0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                single_server_cost(3, bad)
 
 
 class TestRegimes:
     def test_spir(self):
-        info = classify_regime(params(3, 2, 0.0, 0.0))
-        assert info.regime is Regime.SPIR
-        assert info.reference_cost == pytest.approx(1.5, abs=EXACT)
+        rep = report(3, 2, 0.0, 0.0)
+        assert rep.regime == "SPIR"
+        assert rep.reference_cost == pytest.approx(1.5, abs=EXACT)
 
     def test_pir(self):
-        p0 = params(2, 3, 0.0, 0.0)
-        info = classify_regime(params(2, 3, 0.0, delta1_threshold(p0)))
-        assert info.regime is Regime.PIR
-        assert info.reference_cost == pytest.approx(1.75, abs=EXACT)
+        rep = report(2, 3, 0.0, report(2, 3, 0.0, 0.0).delta1)
+        assert rep.regime == "PIR"
+        assert rep.reference_cost == pytest.approx(1.75, abs=EXACT)
 
     def test_pir_tolerates_relative_noise(self):
-        thr = delta1_threshold(params(2, 2, 0.0, 0.0))
-        info = classify_regime(params(2, 2, 0.0, thr * (1 + 1e-10)))
-        assert info.regime is Regime.PIR
+        thr = report(2, 2, 0.0, 0.0).delta1
+        assert report(2, 2, 0.0, thr * (1 + 1e-10)).regime == "PIR"
 
     def test_leaky_db(self):
-        info = classify_regime(params(2, 2, 0.0, 0.1))
-        assert info.regime is Regime.LEAKY_DB
-        assert info.reference_cost == pytest.approx(1.9, abs=EXACT)
+        rep = report(2, 2, 0.0, 0.1)
+        assert rep.regime == "LeakyDB"
+        assert rep.reference_cost == pytest.approx(1.9, abs=EXACT)
 
     def test_l_pir(self):
-        p = params(2, 2, 1.0, 0.3)  # delta1(1) = 1/(e+1) < 0.3
-        info = classify_regime(p)
-        assert info.regime is Regime.L_PIR
-        assert info.reference_cost == pytest.approx(
+        rep = report(2, 2, 1.0, 0.3)  # delta1(1) = 1/(e+1) < 0.3
+        assert rep.regime == "L-PIR"
+        assert rep.reference_cost == pytest.approx(
             1.0 + 1.0 / (math.e + 1.0), abs=EXACT)
 
     def test_no_privacy(self):
-        info = classify_regime(params(2, 2, math.inf, 0.0))
-        assert info.regime is Regime.NO_PRIVACY
-        assert info.reference_cost == 1.0
+        rep = report(2, 2, math.inf, 0.0)
+        assert rep.regime == "NoPrivacy"
+        assert rep.reference_cost == 1.0
 
     def test_general(self):
-        info = classify_regime(params(2, 2, 0.5, 0.1))
-        assert info.regime is Regime.GENERAL
-        assert info.reference_cost is None
+        rep = report(2, 2, 0.5, 0.1)
+        assert rep.regime == "General"
+        assert rep.reference_cost is None
 
     def test_eps_zero_above_threshold_is_general(self):
-        info = classify_regime(params(2, 2, 0.0, 0.9))
-        assert info.regime is Regime.GENERAL
+        assert report(2, 2, 0.0, 0.9).regime == "General"
 
     def test_subnormal_delta1_regime_follows_the_key(self):
         """delta equals the rounded, subnormal delta1 here, but the exact
         delta1 lies above it: the scheme still plans a key, so the point
         is below the threshold and no closed-form cost applies."""
         p = params(2, 46, 773.9823886464507, 2.5e-323, l=8)
-        assert delta1_threshold(p) == p.delta
+        rep = bounds_report(p)
+        assert rep.delta1 == p.delta
         assert plan_partition(p).key_bits == 1
-        assert classify_regime(p) == RegimeInfo(Regime.GENERAL, None)
+        assert (rep.regime, rep.reference_cost) == ("General", None)
 
 
 class TestValidationAndReport:
     def test_rejects_single_database(self):
-        p = SystemParams(1, 2, 4, 0.0, 0.0)
-        for fn in (delta1_threshold, delta2_threshold, alpha1_rate,
-                   alpha2_rate, d_upper, d_lower, gap_ratio,
-                   classify_regime):
-            with pytest.raises(ValueError):
-                fn(p)
+        with pytest.raises(ValueError, match="n_databases >= 2"):
+            bounds_report(SystemParams(1, 2, 4, 0.0, 0.0))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -322,7 +318,7 @@ class TestValidationAndReport:
         refuses N."""
         n = MAX_DATABASES
         for delta in (0.0, 0.3):
-            rep = bounds_report(params(n, k, eps, delta))
+            rep = report(n, k, eps, delta)
             ref = reference_forms(n, k, eps, delta)
             for name in ("delta1", "delta2", "d_upper", "d_lower"):
                 got = getattr(rep, name)
@@ -333,18 +329,17 @@ class TestValidationAndReport:
 
     def test_report_is_consistent(self):
         rep = bounds_report(WORKED)
-        assert rep.d_upper == d_upper(WORKED)
-        assert rep.d_lower == d_lower(WORKED)
-        assert rep.delta1 == delta1_threshold(WORKED)
-        assert rep.regime is Regime.GENERAL
-        d = rep.to_dict()
+        assert type(rep) is Bounds
+        assert rep == next(bounds_rows(WORKED, [WORKED.delta]))
+        assert rep[:4] == (2, 2, WORKED.eps, WORKED.delta)
+        assert rep.regime == "General"
+        d = rep._asdict()
         assert d["n"] == 2 and d["regime"] == "General"
         assert d["gap_cap"] == pytest.approx(4 / 3, abs=EXACT)
 
 
-SINGLE_VALUE = {"d_upper": d_upper, "d_lower": d_lower,
-                "alpha1": alpha1_rate, "alpha2": alpha2_rate,
-                "delta1": delta1_threshold, "delta2": delta2_threshold}
+# The fields that hold one closed form each.
+FORMS = ("d_upper", "d_lower", "alpha1", "alpha2", "delta1", "delta2")
 
 
 class TestBlockRows:
@@ -368,13 +363,13 @@ class TestBlockRows:
     def test_block_equals_single_points(self, shape, eps_values, deltas):
         n, k = shape
         for eps in eps_values:
-            p0 = params(n, k, eps, 0.0)
-            deltas = [*deltas, delta1_threshold(p0), delta2_threshold(p0)]
+            rep0 = report(n, k, eps, 0.0)
+            deltas = [*deltas, rep0.delta1, rep0.delta2]
         for eps in eps_values:
             rows = list(bounds_rows(params(n, k, eps, 0.0), deltas))
             assert len(rows) == len(deltas)
             for delta, row in zip(deltas, rows):
-                want = bounds_report(params(n, k, eps, delta)).row()
+                want = report(n, k, eps, delta)
                 assert list(map(repr, row)) == list(map(repr, want)), (
                     eps, delta)
 
@@ -391,43 +386,26 @@ class TestBlockRows:
 
 def near_threshold(n, k, eps, threshold, step):
     """A delta at (step 0), one ulp below (-1) or one ulp above (+1) the
-    threshold."""
-    thr = threshold(params(n, k, eps, 0.0))
+    threshold, the "delta1" or "delta2" field."""
+    thr = getattr(report(n, k, eps, 0.0), threshold)
     if step:
         return math.nextafter(thr, math.inf if step > 0 else 0.0)
     return thr
 
 
-class TestReportMatchesSingleValues:
-    """bounds_report evaluates every closed form in one pass; each field
-    must equal its single-value function exactly, at and next to the
-    thresholds, near eps = 50 and at eps = inf."""
-
-    @given(st.integers(2, 7), st.integers(2, 40),
-           st.one_of(st.sampled_from([0.0, 49.9, 50.0, math.inf]),
-                     st.floats(0.0, 60.0)),
-           st.sampled_from([delta1_threshold, delta2_threshold]),
-           st.sampled_from([-1, 0, 1]))
-    @example(7, 40, 49.9, delta2_threshold, 0)
-    @example(2, 40, 0.0, delta1_threshold, 0)
-    @settings(max_examples=300, deadline=None)
-    def test_fields_equal_single_value_functions(self, n, k, eps, threshold,
-                                                 step):
-        p = params(n, k, eps, near_threshold(n, k, eps, threshold, step))
-        report = bounds_report(p)  # nothing raises
-        for name, fn in SINGLE_VALUE.items():
-            assert getattr(report, name) == fn(p), name
-        assert (report.gap_ratio, report.gap_cap) == gap_ratio(p)
-        regime = classify_regime(p)
-        assert (report.regime, report.reference_cost) == (
-            regime.regime, regime.reference_cost)
+class TestReportPins:
+    """bounds_report at the edges: at and next to the thresholds, near
+    eps = 50, at eps = inf and where F^(K-1) leaves the double range,
+    pinned to values recorded before the forms were evaluated in one
+    pass."""
 
     def test_achievable_side_finite_where_converse_overflows(self):
         """F^(K-1) is past the double range at N=7 K=40 eps=49.9; the
         achievable side, which plan_partition reads, stays exact."""
         p = params(7, 40, 49.9, 0.0)
-        for fn in (delta1_threshold, alpha1_rate, d_upper):
-            assert math.isfinite(fn(p)), fn.__name__
+        rep = bounds_report(p)
+        for name in ("delta1", "alpha1", "d_upper"):
+            assert math.isfinite(getattr(rep, name)), name
         assert plan_partition(p).key_bits == 4  # alpha1 = 1/(N-1), L = 24
 
     def test_edge_points_pinned(self):
@@ -440,11 +418,10 @@ class TestReportMatchesSingleValues:
             for k in (2, 3, 4):
                 for eps in (0.0, 0.3, 49.9, 50.0, 80.0, math.inf):
                     deltas = [0.0]
-                    for threshold in (delta1_threshold, delta2_threshold):
+                    for threshold in ("delta1", "delta2"):
                         deltas += [near_threshold(n, k, eps, threshold, s)
                                    for s in (-1, 0)]
-                    rows += [bounds_report(params(n, k, eps, d)).to_dict()
-                             for d in deltas]
+                    rows += [report(n, k, eps, d)._asdict() for d in deltas]
         assert len(rows) == 270
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "5a64e84440d4cd3bf896b25656f193226e9acad389bd7bf261666ed7417ff697")
@@ -465,10 +442,9 @@ class TestReportMatchesSingleValues:
         each threshold, recorded before the forms were made total."""
         rows = []
         for n, eps, k in self.OVERFLOW_EDGE:
-            p0 = params(n, k, eps, 0.0)
-            rows += [bounds_report(params(n, k, eps, d)).to_dict()
-                     for d in (0.0, delta1_threshold(p0),
-                               delta2_threshold(p0))]
+            rep0 = report(n, k, eps, 0.0)
+            rows += [report(n, k, eps, d)._asdict()
+                     for d in (0.0, rep0.delta1, rep0.delta2)]
         assert len(rows) == 48
         assert all(math.isfinite(v) for row in rows for v in row.values()
                    if isinstance(v, float))
@@ -499,19 +475,19 @@ class TestAgainstExactReference:
     @given(n=st.integers(2, 256), k=st.integers(2, 5000),
            eps=st.one_of(st.sampled_from(EPS_EDGES),
                          st.floats(0.0, allow_infinity=False)),
-           near=st.sampled_from([None, delta1_threshold, delta2_threshold]),
+           near=st.sampled_from([None, "delta1", "delta2"]),
            step=st.sampled_from([-1, 0, 1]), delta=st.floats(0.0, 2.0),
            more_eps=st.floats(0.0, 100.0), more_delta=st.floats(0.0, 1.0))
     @example(n=7, k=14, eps=49.9, near=None, step=0, delta=0.0,
              more_eps=0.0, more_delta=0.0)
-    @example(n=20, k=255, eps=0.5, near=delta1_threshold, step=-1,
+    @example(n=20, k=255, eps=0.5, near="delta1", step=-1,
              delta=0.0, more_eps=1.0, more_delta=0.1)
     @settings(max_examples=150, deadline=None)
     def test_forms_match_reference(self, n, k, eps, near, step, delta,
                                    more_eps, more_delta):
         if near is not None:
             delta = near_threshold(n, k, eps, near, step)
-        rep = bounds_report(params(n, k, eps, delta))
+        rep = report(n, k, eps, delta)
         ref = reference_forms(n, k, eps, delta)
         scale = {"alpha1": 1.0 / (n - 1), "alpha2": float(ref["inv_f1"])}
         flips = [(False, False)]
@@ -528,7 +504,7 @@ class TestAgainstExactReference:
                           for a, b in flips]
         refs = [ref] + [reference_forms(n, k, eps, delta, *f)
                         for f in flips[1:]]
-        for name in (*SINGLE_VALUE, "gap_cap"):
+        for name in (*FORMS, "gap_cap"):
             got = getattr(rep, name)
             assert math.isfinite(got), name
             err = min(ulps(got, r[name], scale.get(name, float(r[name])))
@@ -537,16 +513,16 @@ class TestAgainstExactReference:
         tol = ULP_BOUND * math.ulp(2.0)
         assert rep.delta1 >= rep.delta2 * (1 - tol)
         assert 1.0 - tol <= rep.gap_ratio <= rep.gap_cap * (1 + tol)
-        for later in (params(n, k, eps + more_eps, delta),
-                      params(n, k, eps, delta + more_delta)):
-            assert d_upper(later) <= rep.d_upper * (1 + tol)
-            assert d_lower(later) <= rep.d_lower * (1 + tol)
+        for later in (report(n, k, eps + more_eps, delta),
+                      report(n, k, eps, delta + more_delta)):
+            assert later.d_upper <= rep.d_upper * (1 + tol)
+            assert later.d_lower <= rep.d_lower * (1 + tol)
 
     def test_subnormal_delta1_branch(self):
         """delta1 rounds to 5 subnormal units here, equal to delta, while
         the exact delta1 lies above delta: the key is still needed."""
         n, k, eps, delta = 2, 46, 773.9823886464507, 2.5e-323
-        rep = bounds_report(params(n, k, eps, delta))
+        rep = report(n, k, eps, delta)
         ref = reference_forms(n, k, eps, delta)
         assert rep.delta1 == delta < ref["delta1"]
         assert ulps(rep.alpha1, ref["alpha1"], 1.0) <= ULP_BOUND

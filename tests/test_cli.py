@@ -91,6 +91,20 @@ class TestBoundsCommand:
         assert lines[1].split(",") == ["3", "0.0", "False", "inf"]
         assert lines[3].split(",") == ["3", "2.0", "True", "3.0"]
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("bounds", "--delta", "nan"), ("bounds", "--delta", "inf"),
+        ("bounds", "--delta-grid", "inf"), ("verify", "--delta", "nan"),
+        ("verify", "--delta", "inf"),
+    ])
+    def test_single_server_refuses_non_finite_delta(self, capsys, command,
+                                                    flag, value):
+        """Each once printed a feasible row (or PASS) with cost 3 and
+        exited 0, where N >= 2 exits 2."""
+        code, out, err = run_cli(capsys, command, "--n", "1", "--k", "3",
+                                 flag, value)
+        assert (code, out, err) == (
+            2, "", "error: delta must be finite and >= 0\n")
+
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "2", "--k", "1")
         assert code == 2

@@ -8,9 +8,9 @@ import pickle
 import pytest
 
 from alpir import (BitString, MessageStore, SystemParams, answer,
-                   bounds_report, classify_regime, exact_mi_oracle,
-                   make_queries, path_distribution, plan_partition,
-                   residual_view, sample_path, single_server_cost)
+                   bounds_report, exact_mi_oracle, make_queries,
+                   path_distribution, plan_partition, residual_view,
+                   sample_path, single_server_cost)
 from alpir.leakage import (cost_audit_from_mean, db_leak_audit,
                            ratio_audit_from_counts)
 from alpir.netsim import encode_frame, parse_frame, run_trials
@@ -34,8 +34,7 @@ def every_record():
     stats = run_trials(4, WORKED, seed=1)
     return {
         "SystemParams": WORKED,
-        "BoundsReport": bounds_report(WORKED),
-        "RegimeInfo": classify_regime(WORKED),
+        "Bounds": bounds_report(WORKED),
         "SingleServerOutcome": single_server_cost(2, 1.0),
         "PartitionLayout": LAYOUT,
         "PathDistribution": path_distribution(WORKED),
@@ -57,7 +56,7 @@ def every_record():
 class TestImmutable:
     def test_every_record_refuses_assignment(self):
         records = every_record()
-        assert len(records) == 18
+        assert len(records) == 17
         for name, record in records.items():
             assert type(record).__name__ == name
             field = (record._fields[0] if hasattr(record, "_fields")

@@ -13,11 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alpir import (BitString, MessageStore, PathClass, SystemParams, answer,
-                   classify_base, d_upper, decode, delta1_threshold,
-                   derived_rng, expected_cost,
-                   layout_for_key_bits, make_queries, path_distribution,
-                   plan_partition, residual_view, sample_path,
-                   session_download_bits)
+                   bounds_report, classify_base, decode, derived_rng,
+                   expected_cost, layout_for_key_bits, make_queries,
+                   path_distribution, plan_partition, residual_view,
+                   sample_path, session_download_bits)
 from alpir.scheme import CEIL_GUARD, Answer, PathChoice, QueryVector
 from bounds_reference import reference_forms, ulps
 
@@ -479,14 +478,14 @@ class TestCostAccounting:
         """plan_partition rounds the key up to whole bits, which keeps the
         leakage within delta L (up to CEIL_GUARD) but makes the realized
         cost d_upper at layout.effective_delta, not at delta. That exceeds
-        d_upper(delta) by less than low_total / L: at N=2 K=2 L=1 eps=2
+        d_upper at delta by less than low_total / L: at N=2 K=2 L=1 eps=2
         delta=0.1 the cost is 2.0 against 1.261.
 
         Where the key is clamped the excess is known. At key 0 with
         delta >= delta1 the cost is the flat bound 1 + delta1, so the
         excess is 0. At key L/(N-1), where delta < high_total / L, every
-        bit is masked and the cost is d_upper(0) = 1 + 1/(N-1), so the
-        excess is delta low_total / high_total. The excess is negative, by
+        bit is masked and the cost is d_upper at delta = 0, 1 + 1/(N-1), so
+        the excess is delta low_total / high_total. The excess is negative, by
         at most CEIL_GUARD low_total / L, only where the guard rounds the
         key down.
         """
@@ -499,11 +498,12 @@ class TestCostAccounting:
         tol = 4 * math.ulp(2.0) * (1 + low / (1 - low))
         at_effective = SystemParams(n, k, params.message_bits, eps,
                                     layout.effective_delta)
-        assert abs(cost - d_upper(at_effective)) <= tol
-        excess = cost - d_upper(params)
+        assert abs(cost - bounds_report(at_effective).d_upper) <= tol
+        rep = bounds_report(params)
+        excess = cost - rep.d_upper
         room = CEIL_GUARD * low / params.message_bits + tol
         assert -room <= excess < low / params.message_bits + room
-        if layout.key_bits == 0 and delta >= delta1_threshold(params):
+        if layout.key_bits == 0 and delta >= rep.delta1:
             assert abs(excess) <= tol
         if layout.key_bits == subs:
             assert abs(cost - (1 + 1 / (n - 1))) <= tol

@@ -1,7 +1,7 @@
 """The verify suite's own checks: they pass on the real scheme and fail
 when the scheme is broken."""
 
-from alpir import BitString, SystemParams, selfcheck
+from alpir import BitString, Bounds, SystemParams, selfcheck
 from alpir.scheme import Answer
 
 # One store of the first exhaustive instance (N=2 K=2 L=2, no key) and
@@ -49,19 +49,19 @@ def test_point_check_names_the_call_cap():
 
 
 def broken_rows(monkeypatch, edit):
-    """Make selfcheck's bounds_rows give rows changed by edit(row)."""
+    """Make selfcheck's bounds_rows give rows changed by edit, which takes
+    and returns a Bounds."""
     real = selfcheck.bnd.bounds_rows
 
     def rows(params, deltas):
-        return [edit(list(row)) for row in real(params, deltas)]
+        return [edit(Bounds._make(row)) for row in real(params, deltas)]
 
     monkeypatch.setattr(selfcheck.bnd, "bounds_rows", rows)
 
 
 def test_gap_check_names_the_first_point_past_the_cap(monkeypatch):
     def past_cap(row):
-        row[10] = row[11] + 1.0
-        return row
+        return row._replace(gap_ratio=row.gap_cap + 1.0)
 
     broken_rows(monkeypatch, past_cap)
     assert selfcheck.check_gap_cap() == (
@@ -70,8 +70,8 @@ def test_gap_check_names_the_first_point_past_the_cap(monkeypatch):
 
 def test_ordering_check_names_the_point(monkeypatch):
     def swapped(row):
-        if row[3] == 0.1:
-            row[6], row[7] = row[7], row[6] + 1.0
+        if row.delta == 0.1:
+            return row._replace(alpha1=row.alpha2, alpha2=row.alpha1 + 1.0)
         return row
 
     broken_rows(monkeypatch, swapped)
@@ -83,8 +83,8 @@ def test_ordering_check_names_the_point(monkeypatch):
 
 def test_continuity_check_catches_a_jump(monkeypatch):
     def jump(row):
-        if row[3] == row[8] > 0:  # d_upper at delta1
-            row[4] += 0.5
+        if row.delta == row.delta1 > 0:
+            return row._replace(d_upper=row.d_upper + 0.5)
         return row
 
     broken_rows(monkeypatch, jump)
